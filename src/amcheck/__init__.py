@@ -62,12 +62,8 @@ from .mcgame import (
 from .model import (
     Cgf,
     Ef,
-    JointMove,
     Model,
-    admissible_joint_moves,
     canonical_family,
-    compose_grand,
-    counter_coalition,
     format_coalition_key,
     format_grand,
     load_model,

@@ -8,7 +8,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import benchgen
@@ -54,7 +53,8 @@ def cmd_check(args, parser) -> int:
     if args.convert:
         if not isinstance(model, Cgf):
             raise AmcError("--convert needs a game frame, this model already is an effectivity frame")
-        model, seconds = convert(model, minimize_families=args.minimize)
+        coalitions = sorted(coalitions_in(formula))
+        model, seconds = convert(model, minimize_families=args.minimize, coalitions=coalitions)
         stats.append(("convert", seconds))
     if args.engine.startswith("ef") and not isinstance(model, Ef):
         raise AmcError(f"engine {args.engine} needs an effectivity frame; pass --convert to translate the game frame")
@@ -120,7 +120,6 @@ def _write_suite(out_dir: Path, stem: str, model, formulas) -> list[Path]:
 
 def cmd_gen(args, parser) -> int:
     out_dir = Path(args.out_dir)
-    seed = int(os.environ.get("AMC_SEED", args.seed if hasattr(args, "seed") else 0))
     written: list[Path] = []
     if args.family == "modulo":
         model, formulas = benchgen.gen_modulo(args.agents, args.moves, args.base)
@@ -130,6 +129,7 @@ def cmd_gen(args, parser) -> int:
         written = _write_suite(out_dir, f"castle-n{args.castles}-h{args.hp}", model, formulas)
     else:
         out_dir.mkdir(parents=True, exist_ok=True)
+        seed = int(os.environ.get("AMC_SEED", args.seed))
         rng_seeds = _instance_seeds(seed, args.count)
         atoms = [f"p{i}" for i in range(1, args.atoms + 1)]
         for model_seed, formula_seed in rng_seeds:
@@ -232,21 +232,12 @@ def cmd_bench(args, parser) -> int:
         cells = _bench_cells(args, seed)
     except ValueError as exc:
         parser.error(str(exc))
-    tasks = [(parameter, engine, pairs) for parameter, pairs in cells for engine in engines]
-
-    def run(task):
-        parameter, engine, pairs = task
-        mean, timeouts, conv = _run_cell(engine, pairs, args.repetitions, args.timeout, not args.no_minimize)
-        return [parameter, engine, mean, args.repetitions, timeouts, conv]
-
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(task) for task in tasks]
     writer = csv.writer(sys.stdout)
     writer.writerow(["parameter", "engine", "mean", "reps", "timeouts", "conv_mean"])
-    writer.writerows(rows)
+    for parameter, pairs in cells:
+        for engine in engines:
+            mean, timeouts, conv = _run_cell(engine, pairs, args.repetitions, args.timeout, not args.no_minimize)
+            writer.writerow([parameter, engine, mean, args.repetitions, timeouts, conv])
     return 0
 
 
@@ -300,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engines", required=True, help="comma-separated engine names")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--timeout", type=float, default=200.0)
-    p.add_argument("--parallel", action="store_true", help="run cells concurrently")
     p.add_argument("--no-minimize", action="store_true", help="skip family minimization when converting")
     p.add_argument("--formulas", help="comma-separated name prefixes to keep, default all")
     p.add_argument("--seed", type=int, default=0)

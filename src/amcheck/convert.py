@@ -22,12 +22,8 @@ def _all_coalitions(agents: int) -> list[tuple[int, ...]]:
 
 
 def induced_effectivity(g: Cgf, coalitions=None, deadline=None) -> Ef:
-    """Family per state and coalition, duplicates collapsed eagerly.
-
-    One pass over the transition table per coalition: grand moves are grouped
-    by their projection onto the coalition, and each group's outcome set
-    becomes one member of the family.
-    """
+    """Family per state and coalition: the outcome set of each of the
+    coalition's groups, duplicates collapsed."""
     if coalitions is None:
         wanted = _all_coalitions(g.agents)
     else:
@@ -36,15 +32,10 @@ def induced_effectivity(g: Cgf, coalitions=None, deadline=None) -> Ef:
     for w in g.states:
         if deadline is not None:
             deadline.check()
-        table = sorted(g.transitions[w].items())
-        per_state: dict[tuple[int, ...], tuple[frozenset[str], ...]] = {}
-        for coalition in wanted:
-            idx = [a - 1 for a in coalition]
-            groups: dict[tuple[int, ...], set[str]] = {}
-            for grand, target in table:
-                groups.setdefault(tuple(grand[i] for i in idx), set()).add(target)
-            per_state[coalition] = canonical_family(groups.values())
-        effectivity[w] = per_state
+        effectivity[w] = {
+            coalition: canonical_family(reached for _, reached in g.groups(w, coalition))
+            for coalition in wanted
+        }
     return Ef(
         states=g.states,
         agents=g.agents,

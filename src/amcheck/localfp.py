@@ -11,8 +11,6 @@ with every inner level restarted from scratch whenever an outer one moves.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import ModelError
 from .formula import ClosureGraph, build_closure
 from .model import Cgf, Ef
@@ -20,54 +18,22 @@ from .model import Cgf, Ef
 
 def prop_step(model, closure: ClosureGraph, states, xvec) -> set:
     """Propositional one-step function: everything except the modal clauses."""
-    out: set = set()
-    x0 = xvec[0]
-    for nid, node in enumerate(closure.nodes):
-        kind = node.kind
-        if kind == "top":
-            for w in states:
-                out.add((w, nid))
-        elif kind == "atom":
-            holds = model.atom_states(node.atom)
-            for w in states:
-                if w in holds:
-                    out.add((w, nid))
-        elif kind == "negatom":
-            holds = model.atom_states(node.atom)
-            for w in states:
-                if w not in holds:
-                    out.add((w, nid))
-        elif kind == "and":
-            left, right = node.children
-            for w in states:
-                if (w, left) in x0 and (w, right) in x0:
-                    out.add((w, nid))
-        elif kind == "or":
-            left, right = node.children
-            for w in states:
-                if (w, left) in x0 or (w, right) in x0:
-                    out.add((w, nid))
-        elif kind in ("mu", "nu"):
-            body = node.children[0]
-            xi = xvec[node.priority]
-            for w in states:
-                if (w, body) in xi:
-                    out.add((w, nid))
-    return out
+    return _Stepper(model, closure, states, modal=False)(xvec)
 
 
 class _Stepper:
     """One-step function with the argument-independent parts precomputed.
 
     Statics (truth constants and literals) are evaluated once; every modal
-    node keeps, per state, its outcome groups: one list of reached states per
-    joint move of the coalition (game frames) or per listed effectivity set
-    (effectivity frames).  Calls then only run the quantifier scans.  Scans
-    run to completion, so the cost of a modal step depends only on the move
-    structure of the model, never on the argument set; timings therefore
-    track model growth rather than verdict patterns."""
+    node keeps, per state, the reached states of each of the model's outcome
+    groups (one per joint move of the coalition on a game frame, one per
+    listed effectivity set on an effectivity frame).  Calls then only run the
+    quantifier scans.  Scans run to completion, so the cost of a modal step
+    depends only on the move structure of the model, never on the argument
+    set; timings therefore track model growth rather than verdict patterns.
+    With ``modal=False`` the modal clauses are left out entirely."""
 
-    def __init__(self, model, closure: ClosureGraph, states, deadline=None):
+    def __init__(self, model, closure: ClosureGraph, states, deadline=None, modal=True):
         self.states = tuple(states)
         self.statics: set = set()
         self.conjunctions: list[tuple[int, int, int]] = []
@@ -91,14 +57,14 @@ class _Stepper:
                 self.disjunctions.append((nid, *node.children))
             elif kind in ("mu", "nu"):
                 self.fixpoints.append((nid, node.children[0], node.priority))
-            elif kind in ("enforce", "allows"):
+            elif kind in ("enforce", "allows") and modal:
                 rows = []
                 for w in self.states:
                     if deadline is not None:
                         deadline.check()
                     key = (w, node.coalition)
                     if key not in groups_cache:
-                        groups_cache[key] = self._groups(model, w, node.coalition)
+                        groups_cache[key] = [reached for _, reached in model.groups(w, node.coalition)]
                     rows.append((w, groups_cache[key]))
                 self.modal.append((nid, kind == "enforce", node.children[0], rows))
 
@@ -148,50 +114,16 @@ class _Stepper:
         return out
 
 
-class _CgfStepper(_Stepper):
-    @staticmethod
-    def _groups(model: Cgf, w: str, coalition) -> list[tuple[str, ...]]:
-        """Outcome states per joint move of the coalition, each listing the
-        completions by the remaining agents, all in lexicographic order."""
-        n = model.agents
-        counts = model.move_counts[w]
-        table = model.transitions[w]
-        member_idx = [a - 1 for a in coalition]
-        others = set(member_idx)
-        other_idx = [i for i in range(n) if i not in others]
-        own_ranges = [range(1, counts[i] + 1) for i in member_idx]
-        other_ranges = [range(1, counts[i] + 1) for i in other_idx]
-        grand = [0] * n
-        groups = []
-        for own in itertools.product(*own_ranges):
-            for i, m in zip(member_idx, own):
-                grand[i] = m
-            targets = []
-            for completion in itertools.product(*other_ranges):
-                for i, m in zip(other_idx, completion):
-                    grand[i] = m
-                targets.append(table[tuple(grand)])
-            groups.append(tuple(targets))
-        return groups
-
-
-class _EfStepper(_Stepper):
-    @staticmethod
-    def _groups(model: Ef, w: str, coalition) -> list[tuple[str, ...]]:
-        """The listed effectivity sets themselves, in family order."""
-        return [tuple(sorted(u)) for u in model.family(w, coalition)]
-
-
 def one_step_cgf(model: Cgf, closure: ClosureGraph, states, xvec) -> set:
     """Game-frame one-step function: the modal clauses quantify over the
     coalition's joint moves and their completions."""
-    return _CgfStepper(model, closure, states)(xvec)
+    return _Stepper(model, closure, states)(xvec)
 
 
 def one_step_ef(model: Ef, closure: ClosureGraph, states, xvec) -> set:
     """Effectivity-frame one-step function: some listed set all inside the
     argument (enforce), or every listed set meeting it (allows)."""
-    return _EfStepper(model, closure, states)(xvec)
+    return _Stepper(model, closure, states)(xvec)
 
 
 def nested_fixpoint(step, universe, max_priority: int, deadline=None) -> set:
@@ -220,13 +152,10 @@ def nested_fixpoint(step, universe, max_priority: int, deadline=None) -> set:
 def fixpoint_extension(model, closure: ClosureGraph, deadline=None) -> set:
     """All (state, node) pairs the nested fixpoint settles on, over the whole
     state space."""
-    states = model.states
-    if isinstance(model, Cgf):
-        step = _CgfStepper(model, closure, states, deadline)
-    elif isinstance(model, Ef):
-        step = _EfStepper(model, closure, states, deadline)
-    else:
+    if not isinstance(model, (Cgf, Ef)):
         raise ModelError(f"not a model: {model!r}")
+    states = model.states
+    step = _Stepper(model, closure, states, deadline)
     universe = {(w, nid) for w in states for nid in range(len(closure.nodes))}
     return nested_fixpoint(step, universe, closure.max_priority, deadline)
 

@@ -5,6 +5,10 @@ a tuple with one entry per agent in agent order; transition functions are
 total on exactly the admissible grand moves.  Effectivity frames map a state
 and coalition to a family of nonempty state sets and may be sparse in the
 coalitions they list.
+
+Both kinds answer ``groups(state, coalition)``: the groups of outcomes the
+coalition can force.  It is all that the converter, the game builder and the
+fixpoint stepper read of a frame's moves.
 """
 
 from __future__ import annotations
@@ -12,23 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import ModelError
-
-
-@dataclass(frozen=True)
-class JointMove:
-    """A coalition together with one chosen move per member."""
-
-    agents: tuple[int, ...]  # strictly ascending
-    moves: tuple[int, ...]  # aligned with agents
-
-    def move_for(self, agent: int) -> int:
-        return self.moves[self.agents.index(agent)]
-
-    def mapping(self) -> dict[int, int]:
-        return dict(zip(self.agents, self.moves))
 
 
 @dataclass
@@ -57,6 +48,27 @@ class Cgf:
         counts = self.move_counts[state]
         return itertools.product(*(range(1, c + 1) for c in counts))
 
+    def groups(self, state: str, coalition) -> list[tuple[tuple[int, ...], list[str]]]:
+        """What the coalition can force at a state: one (joint move, reached
+        states) pair per joint move of the coalition, in lexicographic order.
+        The reached states list the outcome of every completion by the other
+        agents, also in lexicographic order, so repeats are kept.
+
+        One lexicographic walk over the grand moves meets the coalition's
+        joint moves in lexicographic order, whatever the table's own order.
+        """
+        if state not in self.move_counts:
+            raise ModelError(f"unknown state {state}")
+        members = _members(coalition, self.agents)
+        table = self.transitions[state]
+        ranges = [range(1, c + 1) for c in self.move_counts[state]]
+        project = itemgetter(*(a - 1 for a in members)) if members else lambda grand: ()
+        reached: dict = {}
+        for grand in itertools.product(*ranges):
+            reached.setdefault(project(grand), []).append(table[grand])
+        joint_moves = itertools.product(*(ranges[a - 1] for a in members))
+        return list(zip(joint_moves, reached.values()))
+
 
 @dataclass
 class Ef:
@@ -83,37 +95,23 @@ class Ef:
             )
         return per_state[coalition]
 
+    def groups(self, state: str, coalition) -> list[tuple[frozenset[str], list[str]]]:
+        """What the coalition can force at a state: one (set, sorted states)
+        pair per listed effectivity set, in family order."""
+        members = _members(coalition, self.agents)
+        return [(u, sorted(u)) for u in self.family(state, members)]
+
 
 Model = Cgf | Ef
 
 
-def counter_coalition(coalition: tuple[int, ...], agents: int) -> tuple[int, ...]:
-    members = set(coalition)
-    return tuple(a for a in range(1, agents + 1) if a not in members)
-
-
-def admissible_joint_moves(g: Cgf, state: str, coalition) -> list[JointMove]:
-    """All joint moves of the coalition at a state, ordered lexicographically
-    by ascending agent id and then ascending move.  The empty coalition has
-    exactly one (empty) joint move."""
+def _members(coalition, agents: int) -> tuple[int, ...]:
+    """The coalition as a strictly ascending tuple of known agents."""
     members = tuple(sorted(set(coalition)))
-    if state not in g.move_counts:
-        raise ModelError(f"unknown state {state}")
     for a in members:
-        if not 1 <= a <= g.agents:
+        if not 1 <= a <= agents:
             raise ModelError(f"unknown agent {a}")
-    ranges = [range(1, g.move_counts[state][a - 1] + 1) for a in members]
-    return [JointMove(members, combo) for combo in itertools.product(*ranges)]
-
-
-def compose_grand(agents: int, part_a: JointMove, part_b: JointMove) -> tuple[int, ...]:
-    """Merge two joint moves of complementary coalitions into a grand move."""
-    grand = [0] * agents
-    for a, m in zip(part_a.agents, part_a.moves):
-        grand[a - 1] = m
-    for a, m in zip(part_b.agents, part_b.moves):
-        grand[a - 1] = m
-    return tuple(grand)
+    return members
 
 
 def outcome(g: Cgf, state: str, grand: tuple[int, ...]) -> str:

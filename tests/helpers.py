@@ -21,11 +21,8 @@ from amcheck import (
     Or,
     Top,
     Var,
-    admissible_joint_moves,
     build_closure,
-    compose_grand,
     convert,
-    counter_coalition,
     fixpoint_verdicts,
     game_verdicts,
 )
@@ -69,17 +66,13 @@ def naive_extension(model, f, env=None) -> frozenset[str]:
 
 
 def _cgf_modal(model, w, coalition, goal, enforce: bool) -> bool:
-    others = counter_coalition(coalition, model.agents)
-    outcomes_per_own = []
-    for own in admissible_joint_moves(model, w, coalition):
-        outs = {
-            model.transitions[w][compose_grand(model.agents, own, rest)]
-            for rest in admissible_joint_moves(model, w, others)
-        }
-        outcomes_per_own.append(outs)
+    outcomes_per_own: dict[tuple[int, ...], set[str]] = {}
+    for grand, target in model.transitions[w].items():
+        own = tuple(grand[a - 1] for a in coalition)
+        outcomes_per_own.setdefault(own, set()).add(target)
     if enforce:
-        return any(outs <= goal for outs in outcomes_per_own)
-    return all(outs & goal for outs in outcomes_per_own)
+        return any(outs <= goal for outs in outcomes_per_own.values())
+    return all(outs & goal for outs in outcomes_per_own.values())
 
 
 def _ef_modal(model, w, coalition, goal, enforce: bool) -> bool:

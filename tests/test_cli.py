@@ -43,6 +43,19 @@ class TestCheck:
             assert code == 0
             assert out == expected
 
+    @pytest.mark.parametrize("engine", ["cgf-game", "cgf-local", "ef-game", "ef-local"])
+    def test_unknown_agent(self, capsys, tmp_path, smallgame_path, engine):
+        formula = write_formula(tmp_path, "<{4}> p")
+        convert = ["--convert"] if engine.startswith("ef") else []
+        code, out, err = run(
+            capsys, "check", "--model", str(smallgame_path), "--formula", formula,
+            "--engine", engine, *convert,
+        )
+        assert code == 3
+        assert out == ""
+        assert "error: unknown agent 4" in err.splitlines()
+        assert "Traceback" not in err
+
     def test_single_state(self, capsys, tmp_path, smallgame_path):
         formula = write_formula(tmp_path, "p")
         code, out, _ = run(
@@ -346,18 +359,6 @@ class TestBench:
         for row in parse_csv(out):
             assert row[2] == ""
             assert row[4] == "5"
-
-    def test_parallel_matches_sequential_shape(self, capsys):
-        argv = [
-            "bench", "--suite", "modulo", "--engines", "ef-local",
-            "--moves", "2..3", "--formulas", "buchi",
-        ]
-        code, out, _ = run(capsys, *argv)
-        sequential = [(r[0], r[1], r[3], r[4]) for r in parse_csv(out)]
-        code2, out2, _ = run(capsys, *argv, "--parallel")
-        parallel = [(r[0], r[1], r[3], r[4]) for r in parse_csv(out2)]
-        assert code == code2 == 0
-        assert sequential == parallel
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,11 +7,7 @@ import pytest
 from amcheck.errors import ModelError
 from amcheck.model import (
     Cgf,
-    JointMove,
-    admissible_joint_moves,
     canonical_family,
-    compose_grand,
-    counter_coalition,
     format_coalition_key,
     format_grand,
     load_model,
@@ -58,51 +54,61 @@ class TestFixture:
 
 
 class TestJointMoves:
+    """A game frame's outcome groups: one per joint move of the coalition."""
+
     def test_empty_coalition_has_one_joint_move(self, smallgame):
-        moves = admissible_joint_moves(smallgame, "w1", ())
-        assert moves == [JointMove((), ())]
+        groups = smallgame.groups("w1", ())
+        assert [choice for choice, _ in groups] == [()]
+        assert groups[0][1] == [smallgame.transitions["w1"][g] for g in smallgame.grand_moves("w1")]
 
     def test_pair_coalition_lexicographic(self, smallgame):
-        moves = admissible_joint_moves(smallgame, "w1", (1, 3))
-        assert [jm.moves for jm in moves] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert all(jm.agents == (1, 3) for jm in moves)
+        assert smallgame.groups("w1", (1, 3)) == [
+            ((1, 1), ["w2", "w2"]),
+            ((1, 2), ["w2", "w3"]),
+            ((2, 1), ["w2", "w2"]),
+            ((2, 2), ["w3", "w3"]),
+        ]
 
     def test_grand_coalition(self, smallgame):
-        assert len(admissible_joint_moves(smallgame, "w1", (1, 2, 3))) == 8
-        assert len(admissible_joint_moves(smallgame, "w2", (1, 2, 3))) == 1
+        assert len(smallgame.groups("w1", (1, 2, 3))) == 8
+        assert smallgame.groups("w2", (1, 2, 3)) == [((1, 1, 1), ["w2"])]
 
     def test_count_is_product_of_bounds(self, smallgame):
         for coalition in [(), (1,), (2,), (1, 2), (1, 2, 3)]:
             expected = 1
             for a in coalition:
                 expected *= smallgame.moves("w1", a)
-            assert len(admissible_joint_moves(smallgame, "w1", coalition)) == expected
+            assert len(smallgame.groups("w1", coalition)) == expected
 
     def test_unordered_input_normalized(self, smallgame):
-        moves = admissible_joint_moves(smallgame, "w1", (3, 1))
-        assert moves[0].agents == (1, 3)
+        assert smallgame.groups("w1", (3, 1)) == smallgame.groups("w1", (1, 3))
+
+    def test_table_order_does_not_matter(self, smallgame):
+        shuffled = loads_model(model_to_json(smallgame))
+        shuffled.transitions["w1"] = dict(reversed(shuffled.transitions["w1"].items()))
+        for coalition in [(), (2,), (1, 3), (1, 2, 3)]:
+            assert shuffled.groups("w1", coalition) == smallgame.groups("w1", coalition)
 
     def test_errors(self, smallgame):
         with pytest.raises(ModelError, match="unknown state"):
-            admissible_joint_moves(smallgame, "w9", (1,))
-        with pytest.raises(ModelError, match="unknown agent"):
-            admissible_joint_moves(smallgame, "w1", (4,))
+            smallgame.groups("w9", (1,))
+        with pytest.raises(ModelError, match="unknown agent 4"):
+            smallgame.groups("w1", (4,))
 
-    def test_joint_move_accessors(self):
-        jm = JointMove((1, 3), (2, 1))
-        assert jm.move_for(1) == 2
-        assert jm.move_for(3) == 1
-        assert jm.mapping() == {1: 2, 3: 1}
 
-    def test_compose_grand(self):
-        own = JointMove((1, 3), (2, 1))
-        other = JointMove((2,), (9,))
-        assert compose_grand(3, own, other) == (2, 9, 1)
+class TestEffectivityGroups:
+    def test_listed_sets_in_family_order(self, smallgame_min_ef):
+        assert smallgame_min_ef.groups("w1", ()) == [(frozenset({"w2", "w3"}), ["w2", "w3"])]
+        assert smallgame_min_ef.groups("w1", (3, 1)) == [
+            (frozenset({"w2"}), ["w2"]),
+            (frozenset({"w3"}), ["w3"]),
+        ]
 
-    def test_counter_coalition(self):
-        assert counter_coalition((1, 3), 3) == (2,)
-        assert counter_coalition((), 3) == (1, 2, 3)
-        assert counter_coalition((1, 2, 3), 3) == ()
+    def test_errors(self, smallgame_min_ef):
+        with pytest.raises(ModelError, match="unknown state"):
+            smallgame_min_ef.groups("w9", (1,))
+        with pytest.raises(ModelError, match="unknown agent 4"):
+            smallgame_min_ef.groups("w1", (4,))
 
 
 class TestValidation:
