@@ -8,7 +8,8 @@ concrete syntax is
 
 where atoms start with a lowercase letter, variables with an uppercase one,
 ``&`` binds tighter than ``|``, and modalities and fixpoint binders extend
-maximally to the right.
+maximally to the right.  The parser rejects formulas nested deeper than
+``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -201,6 +202,15 @@ _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[&|~\[\]<>{}(),.]")
 _SPACE = re.compile(r"[ \t\r\n]*")
 
 
+MAX_DEPTH = 100
+"""Deepest formula the parser accepts: no path from the root of the syntax
+tree to a leaf passes more than MAX_DEPTH nodes, where each pair of
+parentheses counts as one more level.  Deeper input raises ParseError; the
+limit keeps the recursive parser and the recursive passes over the tree
+(validation, priorities, closure building, formatting) well inside Python's
+recursion limit."""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -216,6 +226,7 @@ class _Parser:
             self.tokens.append((m.group(), pos))
             pos = m.end()
         self.i = 0
+        self.open = 0  # modalities, binders and parentheses being parsed
 
     def _linecol(self, offset: int) -> tuple[int, int]:
         line = self.text.count("\n", 0, offset) + 1
@@ -241,69 +252,91 @@ class _Parser:
             self._fail(f"expected {lexeme!r}")
         self.i += 1
 
-    def formula(self) -> Formula:
-        left = self.conjunction()
+    def _enter(self) -> None:
+        """Open a modality, binder or parenthesis: each adds one level to
+        every path through it, so more than MAX_DEPTH open at once already
+        exceed the limit."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self._fail(f"formula nests deeper than {MAX_DEPTH} levels")
+
+    def _deeper(self, depth: int) -> int:
+        """Depth of one more level over a subformula of the given depth."""
+        if depth >= MAX_DEPTH:
+            self._fail(f"formula nests deeper than {MAX_DEPTH} levels")
+        return depth + 1
+
+    # Every method returns the parsed subformula and its depth.
+
+    def formula(self) -> tuple[Formula, int]:
+        left, depth = self.conjunction()
         while self.peek() == "|":
             self.i += 1
-            left = Or(left, self.conjunction())
-        return left
+            right, right_depth = self.conjunction()
+            left, depth = Or(left, right), self._deeper(max(depth, right_depth))
+        return left, depth
 
-    def conjunction(self) -> Formula:
-        left = self.prefixed()
+    def conjunction(self) -> tuple[Formula, int]:
+        left, depth = self.prefixed()
         while self.peek() == "&":
             self.i += 1
-            left = And(left, self.prefixed())
-        return left
+            right, right_depth = self.prefixed()
+            left, depth = And(left, right), self._deeper(max(depth, right_depth))
+        return left, depth
 
-    def prefixed(self) -> Formula:
+    def prefixed(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok == "[":
+        if tok in ("[", "<"):
+            self._enter()
             self.i += 1
             coalition = self.coalition()
-            self.expect("]")
-            return Enforce(coalition, self.formula())
-        if tok == "<":
-            self.i += 1
-            coalition = self.coalition()
-            self.expect(">")
-            return Allows(coalition, self.formula())
+            self.expect("]" if tok == "[" else ">")
+            arg, depth = self.formula()
+            self.open -= 1
+            modality = Enforce if tok == "[" else Allows
+            return modality(coalition, arg), self._deeper(depth)
         if tok in ("mu", "nu"):
+            self._enter()
             self.i += 1
             var = self.take()
             if not var[0].isupper():
                 self._fail("fixpoint variable must start uppercase")
             self.expect(".")
-            body = self.formula()
-            return Mu(var, body) if tok == "mu" else Nu(var, body)
+            body, depth = self.formula()
+            self.open -= 1
+            binder = Mu if tok == "mu" else Nu
+            return binder(var, body), self._deeper(depth)
         return self.atomic()
 
-    def atomic(self) -> Formula:
+    def atomic(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok is None:
             self._fail("unexpected end of input")
         if tok == "(":
+            self._enter()
             self.i += 1
-            inner = self.formula()
+            inner, depth = self.formula()
             self.expect(")")
-            return inner
+            self.open -= 1
+            return inner, self._deeper(depth)
         if tok == "~":
             self.i += 1
             name = self.take()
             if not name[0].islower() or name in _KEYWORDS:
                 self._fail("negation applies to an atom")
-            return NegAtom(name)
+            return NegAtom(name), 1
         if tok == "true":
             self.i += 1
-            return Top()
+            return Top(), 1
         if tok == "false":
             self.i += 1
-            return Bot()
+            return Bot(), 1
         if tok[0].isupper():
             self.i += 1
-            return Var(tok)
+            return Var(tok), 1
         if tok[0].islower() and tok not in _KEYWORDS:
             self.i += 1
-            return Atom(tok)
+            return Atom(tok), 1
         self._fail(f"unexpected token {tok!r}")
 
     def coalition(self) -> tuple[int, ...]:
@@ -325,7 +358,7 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse a closed, clean formula; raise ParseError/FormulaError otherwise."""
     parser = _Parser(text)
-    f = parser.formula()
+    f, _ = parser.formula()
     if parser.i < len(parser.tokens):
         parser._fail("trailing input after formula")
     validate_formula(f)

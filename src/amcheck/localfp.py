@@ -1,12 +1,26 @@
 """Model checking by direct nested fixpoint evaluation.
 
-The evaluation state is a vector of sets of (state, closure node) pairs, one
-set per priority level.  A one-step function maps that vector to the pairs
-justified by it: propositional nodes read level 0, a fixpoint node of
-priority i reads its unfolding at level i, and modal nodes quantify over
-joint moves (game frames) or listed effectivity sets (effectivity frames).
-Levels alternate greatest (even) and least (odd) fixpoints, innermost first,
-with every inner level restarted from scratch whenever an outer one moves.
+The evaluation state is one bitmask per closure node: bit i of an ``int``
+says that the node holds at ``model.states[i]``.  A level is the list of
+these masks indexed by node id, and there is one level per priority.  A
+one-step function maps the levels to the masks justified by them:
+propositional nodes combine their children, a fixpoint node of priority i
+reads its body at level i, and modal nodes quantify over the outcome groups
+of the model (one per joint move on a game frame, one per listed set on an
+effectivity frame).  Levels alternate greatest (even) and least (odd)
+fixpoints, innermost first, with every inner level restarted from its
+extreme whenever an outer one moves.
+
+The engine's one-step function is a children-first (Gauss-Seidel) sweep:
+``build_closure`` numbers every non-binder node after its children, so one
+pass in ascending id order can read each non-binder child from the current
+sweep, and only binders read the previous level-0 value.  A level is a
+fixpoint of this sweep exactly when it is a fixpoint of the plain (Jacobi)
+step that reads every child from level 0, and the sweep is monotone, so
+iterating it from a level's extreme reaches the same extremal fixpoint in
+fewer steps.  The public ``prop_step``, ``one_step_cgf`` and ``one_step_ef``
+are the Jacobi step: sets of (state, node) pairs in and out, every child read
+from ``xvec[0]``.
 """
 
 from __future__ import annotations
@@ -15,48 +29,52 @@ from .errors import ModelError
 from .formula import ClosureGraph, build_closure
 from .model import Cgf, Ef
 
-
-def prop_step(model, closure: ClosureGraph, states, xvec) -> set:
-    """Propositional one-step function: everything except the modal clauses."""
-    return _Stepper(model, closure, states, modal=False)(xvec)
+_AND, _OR, _FIX, _ENFORCE, _ALLOWS = range(5)
 
 
 class _Stepper:
-    """One-step function with the argument-independent parts precomputed.
+    """One-step function over bitmask levels, with the argument-independent
+    parts precomputed.
 
-    Statics (truth constants and literals) are evaluated once; every modal
-    node keeps, per state, the reached states of each of the model's outcome
-    groups (one per joint move of the coalition on a game frame, one per
-    listed effectivity set on an effectivity frame).  Calls then only run the
-    quantifier scans.  Scans run to completion, so the cost of a modal step
-    depends only on the move structure of the model, never on the argument
-    set; timings therefore track model growth rather than verdict patterns.
-    With ``modal=False`` the modal clauses are left out entirely."""
+    Bits index ``model.states``; only the nodes' values at ``states`` are
+    computed, the other bits stay 0.  Statics (truth constants and literals)
+    are evaluated once; every modal node keeps, per state, the mask of the
+    reached states of each of the model's outcome groups.  Then enforce holds
+    where some group ``g`` has ``g & x == g`` and allows where every group has
+    ``g & x != 0``, with ``x`` the child's mask.  Scans run over every group
+    with no early exit, so the cost of a modal step depends only on the move
+    structure of the model, never on the argument; timings therefore track
+    model growth rather than verdict patterns.  With ``modal=False`` the modal
+    clauses are left out entirely.
+
+    A call sweeps the nodes in ascending id order.  Non-binder children are
+    read from ``children`` when it is given (the Jacobi step), otherwise from
+    the sweep itself (the Gauss-Seidel step); fixpoint nodes of priority i
+    always read their body from ``xvec[i]``."""
 
     def __init__(self, model, closure: ClosureGraph, states, deadline=None, modal=True):
+        self.bits = {w: 1 << i for i, w in enumerate(model.states)}
         self.states = tuple(states)
-        self.statics: set = set()
-        self.conjunctions: list[tuple[int, int, int]] = []
-        self.disjunctions: list[tuple[int, int, int]] = []
-        self.fixpoints: list[tuple[int, int, int]] = []
-        self.modal: list[tuple[int, bool, int, list]] = []
+        self.domain = 0
+        for w in self.states:
+            if w not in self.bits:
+                raise ModelError(f"unknown state {w}")
+            self.domain |= self.bits[w]
+        self.size = len(closure.nodes)
+        self.statics = [0] * self.size
+        self.ops: list[tuple] = []
         groups_cache: dict = {}
         for nid, node in enumerate(closure.nodes):
             kind = node.kind
             if kind == "top":
-                self.statics.update((w, nid) for w in self.states)
-            elif kind == "atom":
-                holds = model.atom_states(node.atom)
-                self.statics.update((w, nid) for w in self.states if w in holds)
-            elif kind == "negatom":
-                holds = model.atom_states(node.atom)
-                self.statics.update((w, nid) for w in self.states if w not in holds)
-            elif kind == "and":
-                self.conjunctions.append((nid, *node.children))
-            elif kind == "or":
-                self.disjunctions.append((nid, *node.children))
+                self.statics[nid] = self.domain
+            elif kind in ("atom", "negatom"):
+                holds = self.mask(model.atom_states(node.atom))
+                self.statics[nid] = self.domain & (holds if kind == "atom" else ~holds)
+            elif kind in ("and", "or"):
+                self.ops.append((_AND if kind == "and" else _OR, nid, *node.children))
             elif kind in ("mu", "nu"):
-                self.fixpoints.append((nid, node.children[0], node.priority))
+                self.ops.append((_FIX, nid, node.children[0], node.priority))
             elif kind in ("enforce", "allows") and modal:
                 rows = []
                 for w in self.states:
@@ -64,77 +82,96 @@ class _Stepper:
                         deadline.check()
                     key = (w, node.coalition)
                     if key not in groups_cache:
-                        groups_cache[key] = [reached for _, reached in model.groups(w, node.coalition)]
-                    rows.append((w, groups_cache[key]))
-                self.modal.append((nid, kind == "enforce", node.children[0], rows))
+                        groups_cache[key] = [self.mask(reached) for _, reached in model.groups(w, node.coalition)]
+                    rows.append((self.bits[w], groups_cache[key]))
+                self.ops.append((_ENFORCE if kind == "enforce" else _ALLOWS, nid, node.children[0], rows))
 
-    def __call__(self, xvec) -> set:
-        x0 = xvec[0]
-        out = set(self.statics)
-        states = self.states
-        for nid, left, right in self.conjunctions:
-            for w in states:
-                if (w, left) in x0 and (w, right) in x0:
-                    out.add((w, nid))
-        for nid, left, right in self.disjunctions:
-            for w in states:
-                if (w, left) in x0 or (w, right) in x0:
-                    out.add((w, nid))
-        for nid, body, priority in self.fixpoints:
-            xi = xvec[priority]
-            for w in states:
-                if (w, body) in xi:
-                    out.add((w, nid))
-        # Scans run to completion: no early exit once a quantifier settles.
-        for nid, is_enforce, child, rows in self.modal:
-            if is_enforce:
-                for w, groups in rows:
-                    ok = False
-                    for targets in groups:
-                        forced = True
-                        for v in targets:
-                            if (v, child) not in x0:
-                                forced = False
-                        if forced:
-                            ok = True
-                    if ok:
-                        out.add((w, nid))
-            else:
-                for w, groups in rows:
-                    ok = True
-                    for targets in groups:
-                        allowed = False
-                        for v in targets:
-                            if (v, child) in x0:
-                                allowed = True
-                        if not allowed:
-                            ok = False
-                    if ok:
-                        out.add((w, nid))
+    def mask(self, states) -> int:
+        bits = self.bits
+        out = 0
+        for w in states:
+            out |= bits[w]
         return out
+
+    def __call__(self, xvec, children=None) -> list[int]:
+        out = list(self.statics)
+        read = out if children is None else children
+        domain = self.domain
+        for op, nid, a, b in self.ops:
+            if op == _AND:
+                out[nid] = read[a] & read[b] & domain
+            elif op == _OR:
+                out[nid] = (read[a] | read[b]) & domain
+            elif op == _FIX:
+                out[nid] = xvec[b][a] & domain
+            else:
+                # Scans run to completion: no early exit once a quantifier settles.
+                x = read[a]
+                value = 0
+                if op == _ENFORCE:
+                    for bit, groups in b:
+                        ok = False
+                        for g in groups:
+                            if g & x == g:
+                                ok = True
+                        if ok:
+                            value |= bit
+                else:
+                    for bit, groups in b:
+                        ok = True
+                        for g in groups:
+                            if not g & x:
+                                ok = False
+                        if ok:
+                            value |= bit
+                out[nid] = value
+        return out
+
+    def level(self, pairs) -> list[int]:
+        """Masks of a set of (state, node) pairs; unknown states are ignored."""
+        out = [0] * self.size
+        for w, nid in pairs:
+            out[nid] |= self.bits.get(w, 0)
+        return out
+
+    def pairs(self, level) -> set:
+        """The (state, node) pairs of the masks, at this stepper's states."""
+        bits = self.bits
+        return {(w, nid) for nid, m in enumerate(level) if m for w in self.states if m & bits[w]}
+
+
+def _jacobi_step(stepper: _Stepper, xvec) -> set:
+    levels = [stepper.level(pairs) for pairs in xvec]
+    return stepper.pairs(stepper(levels, children=levels[0]))
+
+
+def prop_step(model, closure: ClosureGraph, states, xvec) -> set:
+    """Propositional one-step function: everything except the modal clauses."""
+    return _jacobi_step(_Stepper(model, closure, states, modal=False), xvec)
 
 
 def one_step_cgf(model: Cgf, closure: ClosureGraph, states, xvec) -> set:
     """Game-frame one-step function: the modal clauses quantify over the
     coalition's joint moves and their completions."""
-    return _Stepper(model, closure, states)(xvec)
+    return _jacobi_step(_Stepper(model, closure, states), xvec)
 
 
 def one_step_ef(model: Ef, closure: ClosureGraph, states, xvec) -> set:
     """Effectivity-frame one-step function: some listed set all inside the
     argument (enforce), or every listed set meeting it (allows)."""
-    return _Stepper(model, closure, states)(xvec)
+    return _jacobi_step(_Stepper(model, closure, states), xvec)
 
 
-def nested_fixpoint(step, universe, max_priority: int, deadline=None) -> set:
+def nested_fixpoint(step, top, bottom, max_priority: int, deadline=None):
     """Value of the alternating fixpoint tower over the one-step function:
-    greatest at even levels, least at odd, level max_priority outermost.
-    Plain Kleene iteration; every outer update recomputes all inner levels
-    from their extremes.  Returns the stabilized level-0 set."""
-    full = frozenset(universe)
+    greatest at even levels (starting from ``top``), least at odd (from
+    ``bottom``), level max_priority outermost.  Plain Kleene iteration; every
+    outer update recomputes all inner levels from their extremes.  ``step``
+    gets the levels innermost first and must not modify them.  Returns the
+    stabilized level 0."""
 
-    def solve(level: int, outer: list) -> set:
-        current = set(full) if level % 2 == 0 else set()
+    def solve(level: int, outer: list):
+        current = top if level % 2 == 0 else bottom
         while True:
             if deadline is not None:
                 deadline.check()
@@ -149,21 +186,28 @@ def nested_fixpoint(step, universe, max_priority: int, deadline=None) -> set:
     return solve(max_priority, [])
 
 
+def _solve(model, closure: ClosureGraph, deadline) -> tuple[_Stepper, list[int]]:
+    """The stepper over the whole state space and the masks the tower
+    settles on."""
+    if not isinstance(model, (Cgf, Ef)):
+        raise ModelError(f"not a model: {model!r}")
+    step = _Stepper(model, closure, model.states, deadline)
+    size = len(closure.nodes)
+    return step, nested_fixpoint(step, [step.domain] * size, [0] * size, closure.max_priority, deadline)
+
+
 def fixpoint_extension(model, closure: ClosureGraph, deadline=None) -> set:
     """All (state, node) pairs the nested fixpoint settles on, over the whole
     state space."""
-    if not isinstance(model, (Cgf, Ef)):
-        raise ModelError(f"not a model: {model!r}")
-    states = model.states
-    step = _Stepper(model, closure, states, deadline)
-    universe = {(w, nid) for w in states for nid in range(len(closure.nodes))}
-    return nested_fixpoint(step, universe, closure.max_priority, deadline)
+    step, level = _solve(model, closure, deadline)
+    return step.pairs(level)
 
 
 def fixpoint_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> dict[str, bool]:
-    extension = fixpoint_extension(model, closure, deadline)
+    step, level = _solve(model, closure, deadline)
+    root = level[closure.root]
     targets = model.states if states is None else states
-    return {w: (w, closure.root) in extension for w in targets}
+    return {w: bool(root & step.bits.get(w, 0)) for w in targets}
 
 
 def check_via_fixpoint(model, formula, state: str, deadline=None) -> bool:

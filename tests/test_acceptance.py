@@ -11,6 +11,7 @@ and fails if the guarantee is violated or the time budget is exceeded.  Run
 import contextlib
 import math
 import random
+import statistics
 import time
 
 import pytest
@@ -160,39 +161,47 @@ def test_5_game_size_bound(differential_pairs):
             assert len(game) <= len(model.states) * len(closure) * (grand + 1)
 
 
-def _timed_verdicts(verdicts, model, closures, reps=5, samples=5):
-    """Seconds per repetition of checking every closure at the initial state.
-    One untimed warmup settles caches, then the fastest of several multi-rep
-    samples is taken: scheduler noise only ever inflates a sample, so the
-    minimum is the stable estimate."""
-    state = [model.initial]
-    for closure in closures:
-        verdicts(model, closure, states=state)
-    best = None
-    for _ in range(samples):
+def _growth(verdicts, small, large, rounds=21, reps=10):
+    """How many times longer checking takes on the large model than on the
+    small one: the median ratio over interleaved rounds.  Each round times
+    `reps` repetitions of checking every closure at the initial state on the
+    small model, then on the large one, back to back, so drift in host speed
+    between rounds cancels out of each round's ratio.  One untimed warmup per
+    model settles caches first."""
+
+    def seconds(model, closures):
+        state = [model.initial]
         start = time.perf_counter()
         for _ in range(reps):
             for closure in closures:
                 verdicts(model, closure, states=state)
-        mean = (time.perf_counter() - start) / reps
-        best = mean if best is None else min(best, mean)
-    return best
+        return time.perf_counter() - start
+
+    seconds(*small)
+    seconds(*large)
+    ratios = []
+    for _ in range(rounds):
+        base = seconds(*small)
+        ratios.append(seconds(*large) / base)
+    return statistics.median(ratios)
 
 
 def test_6_effectivity_scaling():
     with criterion(6, "effectivity-scaling", 120.0):
-        cgf_times = {}
-        ef_times = {}
-        for moves in range(2, 11):
+        cgf = {}
+        ef = {}
+        for moves in (2, 10):
             model, formulas = gen_modulo(2, moves, 10)
             closures = [
                 build_closure(f) for name, f in formulas if name.startswith("reach")
             ]
-            cgf_times[moves] = _timed_verdicts(fixpoint_verdicts, model, closures)
             reduced, _ = convert(model, minimize_families=True)
-            ef_times[moves] = _timed_verdicts(fixpoint_verdicts, reduced, closures)
-        assert cgf_times[10] >= 4 * cgf_times[2], (cgf_times[2], cgf_times[10])
-        assert ef_times[10] <= 2 * ef_times[2], (ef_times[2], ef_times[10])
+            cgf[moves] = (model, closures)
+            ef[moves] = (reduced, closures)
+        cgf_growth = _growth(fixpoint_verdicts, cgf[2], cgf[10])
+        ef_growth = _growth(fixpoint_verdicts, ef[2], ef[10])
+        assert cgf_growth >= 4, cgf_growth
+        assert ef_growth <= 2, ef_growth
 
 
 def test_7_conversion_growth():

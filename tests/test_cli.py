@@ -9,7 +9,7 @@ import pytest
 from amcheck.cli import main
 from amcheck.model import load_model, save_model
 from amcheck.benchgen import gen_modulo
-from amcheck.formula import parse_formula
+from amcheck.formula import MAX_DEPTH, parse_formula
 
 
 def run(capsys, *argv):
@@ -179,6 +179,22 @@ class TestCheck:
         )
         assert code == 3
         assert "error: 2:1: unexpected end of input" in err
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+    def test_nesting_depth_limit(self, capsys, tmp_path, smallgame_path, depth):
+        formula = write_formula(tmp_path, "<{1}> " * (depth - 1) + "p")
+        code, out, err = run(
+            capsys, "check", "--model", str(smallgame_path), "--formula", formula,
+            "--engine", "cgf-local",
+        )
+        if depth <= MAX_DEPTH:
+            assert code == 0
+            assert out == "w1\ttrue\nw2\ttrue\nw3\tfalse\n"
+        else:
+            assert code == 3
+            assert out == ""
+            assert f"formula nests deeper than {MAX_DEPTH} levels" in err
+            assert "Traceback" not in err
 
 
 class TestConvert:

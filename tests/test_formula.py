@@ -19,6 +19,7 @@ from amcheck import (
 )
 from amcheck.errors import FormulaError, ParseError
 from amcheck.formula import (
+    MAX_DEPTH,
     coalitions_in,
     connective_count,
     fixpoint_priorities,
@@ -133,6 +134,22 @@ class TestParseErrors:
         with pytest.raises(FormulaError, match="bound twice"):
             parse_formula("mu X. (nu X. X & p) | X")
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "<{1}> " * (n - 1) + "p",
+            lambda n: "nu X. " + "[{1}] " * (n - 2) + "X",
+            lambda n: "(" * (n - 1) + "p" + ")" * (n - 1),
+            lambda n: "p & " * (n - 1) + "p",
+            lambda n: "p | " * (n - 1) + "p",
+        ],
+        ids=["modalities", "binder", "parentheses", "and-chain", "or-chain"],
+    )
+    def test_nesting_depth_limit(self, shape):
+        parse_formula(shape(MAX_DEPTH))
+        with pytest.raises(ParseError, match=f"formula nests deeper than {MAX_DEPTH} levels"):
+            parse_formula(shape(MAX_DEPTH + 1))
+
     def test_zero_agent_id(self):
         with pytest.raises(FormulaError, match="positive"):
             parse_formula("[{0}] p")
@@ -213,6 +230,20 @@ class TestClosure:
         for seed in range(120):
             f = gen_random_formula(1 + seed % 14, 3, atoms, seed=seed)
             assert len(build_closure(f)) <= syntactic_size(f)
+
+    def test_children_numbered_before_parents(self):
+        # The fixpoint engine's children-first sweep relies on this: only
+        # binder-to-body edges point to a larger id (or back to the binder
+        # itself, as in mu X. X).
+        atoms = ("p", "q", "r", "s")
+        for seed in range(200):
+            f = gen_random_formula(1 + seed % 16, 3, atoms, seed=seed)
+            g = build_closure(f)
+            for nid, node in enumerate(g.nodes):
+                if node.kind in ("mu", "nu"):
+                    assert node.children[0] >= nid, (f, nid)
+                else:
+                    assert all(child < nid for child in node.children), (f, nid)
 
     def test_unfold_returns_body(self):
         g = build_closure(parse_formula("mu X. p | [{1}] X"))

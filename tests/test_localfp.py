@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import naive_extension
-from amcheck import build_closure, parse_formula
+from amcheck import Cgf, build_closure, parse_formula
 from amcheck.benchgen import gen_modulo, gen_random_cgf, gen_random_formula
 from amcheck.convert import convert, minimize
 from amcheck.errors import CheckTimeout
@@ -122,6 +122,20 @@ class TestOneStepCgf:
         out = one_step_cgf(smallgame, closure, smallgame.states, vec)
         assert ("w1", root) not in out
 
+    def test_subset_reads_states_outside_it(self, smallgame):
+        # at w1, agents 1 and 3 playing (2,2) reach only w3, which lies outside
+        # the queried subset; the argument still speaks about w3
+        closure = build_closure(parse_formula("([{1,3}] q) | <{2}> q"))
+        enforce = node_id(closure, "enforce")
+        allows = node_id(closure, "allows")
+        q = node_id(closure, "atom", atom="q")
+        vec = empty_vec(closure)
+        vec[0] = {("w3", q)}
+        out = one_step_cgf(smallgame, closure, ["w1"], vec)
+        assert out == {("w1", enforce), ("w1", allows)}
+        vec[0] = {("w1", q), ("w2", enforce), ("w2", allows)}
+        assert one_step_cgf(smallgame, closure, ["w1"], vec) == set()
+
 
 class TestOneStepEf:
     def test_enforce_needs_a_member_inside(self, smallgame_min_ef):
@@ -170,14 +184,14 @@ class TestNestedFixpoint:
 
     def test_plain_sets_without_model(self):
         # nu level around a mu level over a two-element universe
-        universe = {0, 1}
+        universe = frozenset({0, 1})
 
         def step(vec):
             # 0 is justified by itself at level 1; 1 never is
             return {0} if 0 in vec[1] else set()
 
-        assert nested_fixpoint(step, universe, 1) == set()
-        assert nested_fixpoint(lambda vec: {0} if 0 in vec[0] else set(), universe, 0) == {0}
+        assert nested_fixpoint(step, universe, frozenset(), 1) == set()
+        assert nested_fixpoint(lambda vec: {0} if 0 in vec[0] else set(), universe, frozenset(), 0) == {0}
 
     def test_reach_on_modulo_matches_direct_iteration(self):
         g, _ = gen_modulo(2, 2, 10)
@@ -242,6 +256,35 @@ class TestNestedFixpoint:
             ext = naive_extension(g, f)
             verdicts = fixpoint_verdicts(g, build_closure(f))
             assert verdicts == {w: w in ext for w in g.states}, (seed, f)
+
+    @pytest.mark.parametrize("frame", ["cgf", "ef", "ef-min"])
+    def test_extension_equals_tower_over_public_step(self, frame):
+        # The engine's children-first sweep must settle on the same extension
+        # as plain Kleene iteration of the public (Jacobi) one-step function.
+        atoms = ("p1", "p2", "p3")
+        fixed = [
+            parse_formula("mu X. nu Y. (p1 & [{1}] Y) | <{2}> X"),
+            parse_formula("nu X. (mu Y. p2 | [{1,2}] Y) & (<{1}> nu Z. ~p3 & [{2}] Z) & [{1}] X"),
+            parse_formula("mu X. (nu Y. p1 & [{1}] Y) | [{2}] X"),
+        ]
+        for seed in range(12):
+            model = gen_random_cgf(5, 2, 2, atoms, seed=seed)
+            if frame != "cgf":
+                model, _ = convert(model, minimize_families=frame == "ef-min")
+            one_step = one_step_cgf if isinstance(model, Cgf) else one_step_ef
+            random_formula = gen_random_formula(2 + seed % 9, 2, atoms, seed=seed + 500)
+            for f in fixed + [random_formula]:
+                closure = build_closure(f)
+                universe = frozenset(
+                    (w, nid) for w in model.states for nid in range(len(closure.nodes))
+                )
+                tower = nested_fixpoint(
+                    lambda vec: one_step(model, closure, model.states, vec),
+                    universe,
+                    frozenset(),
+                    closure.max_priority,
+                )
+                assert fixpoint_extension(model, closure) == tower, (seed, f)
 
     def test_verdicts_for_selected_states(self, smallgame):
         closure = build_closure(parse_formula("p | q"))

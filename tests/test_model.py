@@ -1,11 +1,14 @@
 """Model data structures, JSON round-trips, and validation."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import amcheck.model
 from amcheck.errors import ModelError
 from amcheck.model import (
+    MAX_LISTED_MISSING,
     Cgf,
     canonical_family,
     format_coalition_key,
@@ -118,6 +121,22 @@ class TestValidation:
         assert validate_cgf(broken) == [
             "outcome undefined for admissible grand move 1,1,1 at state w1"
         ]
+
+    def test_large_move_counts_enumerate_nothing(self, smallgame, monkeypatch):
+        # Too many undefined grand moves to name: they are counted from the
+        # move counts, never enumerated.
+        def product(*ranges):
+            raise AssertionError("grand moves enumerated")
+
+        broken = loads_model(model_to_json(smallgame))
+        broken.move_counts["w2"] = (50, 50, 1)
+        monkeypatch.setattr(amcheck.model, "itertools", SimpleNamespace(product=product))
+        assert 50 * 50 - 1 > MAX_LISTED_MISSING
+        assert validate_cgf(broken) == [
+            "outcome undefined for 2499 of 2500 admissible grand moves at state w2"
+        ]
+        with pytest.raises(ModelError, match="undefined for 2499 of 2500"):
+            loads_model(model_to_json(broken))
 
     def test_zero_moves(self, smallgame):
         broken = loads_model(model_to_json(smallgame))
