@@ -66,7 +66,7 @@ def gen_random_formula(
 
     def leaf(available, owed) -> Formula:
         if owed:
-            return Var(next(iter(owed)))
+            return Var(min(owed))
         roll = rng.random()
         if atom_pool and roll < 0.55:
             return Atom(rng.choice(atom_pool))
@@ -87,7 +87,7 @@ def gen_random_formula(
         kind = rng.choice(kinds)
         if kind in ("and", "or"):
             while True:
-                left_owed = frozenset(v for v in owed if rng.random() < 0.5)
+                left_owed = frozenset(v for v in sorted(owed) if rng.random() < 0.5)
                 right_owed = owed - left_owed
                 lo = max(0, len(left_owed) - 1)
                 hi = budget - 1 - max(0, len(right_owed) - 1)

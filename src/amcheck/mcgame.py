@@ -10,7 +10,6 @@ states and stay within |W| * |closure| * (|grand moves| + 1) positions.
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -62,16 +61,9 @@ class _GameBuilder:
         return self.index[key]
 
     def emit(self, owner: str, priority: int, succ_keys, label: str) -> None:
-        seen: set[int] = set()
-        row: list[int] = []
-        for key in succ_keys:
-            idx = self.position(key)
-            if idx not in seen:
-                seen.add(idx)
-                row.append(idx)
         self.owners.append(owner)
         self.priorities.append(priority)
-        self.successors.append(tuple(row))
+        self.successors.append(tuple(dict.fromkeys(map(self.position, succ_keys))))
         self.labels.append(label)
 
     def finish(self) -> ParityGame:
@@ -152,15 +144,12 @@ build_game_cgf = build_game_ef = build_game
 
 
 def _attract(alive, targets, player, successors, predecessors, owners, strategy):
-    """Player's attractor to the targets inside the live region, recording an
-    attracting move for every attracted position the player owns."""
+    """Player's attractor to the targets inside the live region; every
+    attracted position the player owns gets its attracting move written into
+    `strategy`.  An opponent position's escapes (distinct live successors)
+    are counted on its first reach and drop by one per attracted successor."""
     attracted = set(targets)
     escapes = {}
-    for v in alive:
-        if owners[v] != player and v not in attracted:
-            # Count all live successors; pops of the initial targets do the
-            # first decrements, so targets must not be excluded here.
-            escapes[v] = sum(1 for u in set(successors[v]) if u in alive)
     queue = list(attracted)
     while queue:
         t = queue.pop()
@@ -168,23 +157,31 @@ def _attract(alive, targets, player, successors, predecessors, owners, strategy)
             if v not in alive or v in attracted:
                 continue
             if owners[v] == player:
-                attracted.add(v)
-                strategy.setdefault(v, t)
-                queue.append(v)
+                strategy[v] = t
             else:
-                escapes[v] -= 1
-                if escapes[v] == 0:
-                    attracted.add(v)
-                    queue.append(v)
+                # a count never rests at 0: the position is attracted then
+                left = escapes.get(v) or len(alive.intersection(successors[v]))
+                escapes[v] = left = left - 1
+                if left:
+                    continue
+            attracted.add(v)
+            queue.append(v)
     return attracted
 
 
 def zielonka_solve(game: ParityGame) -> Solution:
-    """Recursive attractor decomposition.
+    """Zielonka's attractor decomposition in its loop form.
 
     Positions where the owner is stuck are handed to the opponent up front
-    (with their attractors); the remaining core is total, which the classic
-    recursion requires.
+    (with their attractors), so the core left is total.  `solve(sub)` removes
+    the top priority's attractor and solves the rest first.  While the
+    opponent wins part of it, the opponent's attractor to that part is won
+    by the opponent in `sub` as well, and the loop goes round again without
+    it; once the opponent wins nothing, the player wins all of `sub`.
+    Winners and moves go into one list and one table, where a larger
+    subgame overwrites what a nested one wrote.  Only the first solve nests,
+    once per distinct priority, and `solve` yields it to an explicit stack,
+    so the Python call depth does not grow with the game.
     """
     n = len(game)
     successors = game.successors
@@ -194,7 +191,6 @@ def zielonka_solve(game: ParityGame) -> Solution:
     for v in range(n):
         for u in set(successors[v]):
             predecessors[u].append(v)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
 
     winners: list[str | None] = [None] * n
     strategy: dict[int, int] = {}
@@ -211,41 +207,34 @@ def zielonka_solve(game: ParityGame) -> Solution:
                 winners[v] = player
             alive -= region
 
-    def solve(sub: set[int]) -> tuple[set[int], set[int], dict[int, int]]:
-        if not sub:
-            return set(), set(), {}
-        top = max(priorities[v] for v in sub)
-        player = EXISTS if top % 2 == 0 else FORALL
-        opponent = FORALL if player == EXISTS else EXISTS
-        summit = {v for v in sub if priorities[v] == top}
-        move_to_summit: dict[int, int] = {}
-        region = _attract(sub, summit, player, successors, predecessors, owners, move_to_summit)
-        win_e, win_f, inner = solve(sub - region)
-        opp_region = win_f if player == EXISTS else win_e
-        if not opp_region:
-            merged = dict(inner)
-            merged.update(move_to_summit)
-            for v in summit:
-                if owners[v] == player and v not in merged:
-                    merged[v] = next(u for u in successors[v] if u in sub)
-            whole = set(sub)
-            return (whole, set(), merged) if player == EXISTS else (set(), whole, merged)
-        move_to_opp: dict[int, int] = {}
-        trap = _attract(sub, opp_region, opponent, successors, predecessors, owners, move_to_opp)
-        win_e2, win_f2, rest = solve(sub - trap)
-        merged = dict(rest)
-        merged.update(move_to_opp)
-        merged.update({v: m for v, m in inner.items() if v in opp_region})
-        if player == EXISTS:
-            return win_e2, win_f2 | trap, merged
-        return win_e2 | trap, win_f2, merged
+    def solve(sub: set[int]):
+        while sub:
+            top = max(priorities[v] for v in sub)
+            player = EXISTS if top % 2 == 0 else FORALL
+            opponent = FORALL if player == EXISTS else EXISTS
+            summit = {v for v in sub if priorities[v] == top}
+            rest = sub - _attract(sub, summit, player, successors, predecessors, owners, strategy)
+            yield rest  # the driver below solves it before resuming
+            lost = {v for v in rest if winners[v] == opponent}
+            if not lost:
+                for v in sub:
+                    winners[v] = player
+                for v in summit:
+                    if owners[v] == player:
+                        strategy[v] = next(u for u in successors[v] if u in sub)
+                return
+            trap = _attract(sub, lost, opponent, successors, predecessors, owners, strategy)
+            for v in trap:
+                winners[v] = opponent
+            sub = sub - trap
 
-    win_e, win_f, core_strategy = solve(alive)
-    strategy.update(core_strategy)
-    for v in win_e:
-        winners[v] = EXISTS
-    for v in win_f:
-        winners[v] = FORALL
+    stack = [solve(alive)]
+    while stack:
+        sub = next(stack[-1], None)
+        if sub is None:
+            stack.pop()
+        else:
+            stack.append(solve(sub))
     return Solution(tuple(winners), strategy)
 
 
@@ -323,9 +312,11 @@ def export_pgsolver(game: ParityGame) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PG_ROW = re.compile(
-    r"^(\d+)\s+(\d+)\s+([01])\s+([0-9,\s]*?)\s*(?:\"(.*)\")?\s*;$"
-)
+# Each part of a row stops at the first character outside its class (the
+# successor list takes every blank after the owner's first one), and only the
+# label's `.*` backs up, once, from the end of the row to its last quote; so
+# matching, failed or not, takes time linear in the row's length.
+_PG_ROW = re.compile(r'(\d+)\s+(\d+)\s+([01])\s([0-9,\s]*)(?:"(.*)"\s*)?;')
 
 
 def import_pgsolver(text: str) -> tuple[ParityGame, tuple[int, ...]]:
@@ -336,11 +327,11 @@ def import_pgsolver(text: str) -> tuple[ParityGame, tuple[int, ...]]:
         line = raw.strip()
         if not line or line.startswith("parity"):
             continue
-        m = _PG_ROW.match(line)
+        m = _PG_ROW.fullmatch(line)
         if not m:
             raise ModelError(f"unparsable game row: {raw!r}")
         ident, priority, owner, succ_text, label = m.groups()
-        succ = [int(p) for p in succ_text.replace(" ", "").split(",") if p]
+        succ = [int(p) for p in "".join(succ_text.split()).split(",") if p]
         rows.append((int(ident), int(priority), int(owner), succ, label or ident))
     if not rows:
         raise ModelError("no positions in game file")
@@ -358,13 +349,7 @@ def import_pgsolver(text: str) -> tuple[ParityGame, tuple[int, ...]]:
                 raise ModelError(f"position {ident} points at unknown position {u}")
         owners.append(EXISTS if owner == 0 else FORALL)
         priorities.append(priority)
-        seen: set[int] = set()
-        row = []
-        for u in succ:
-            if index[u] not in seen:
-                seen.add(index[u])
-                row.append(index[u])
-        successors.append(tuple(row))
+        successors.append(tuple(dict.fromkeys(index[u] for u in succ)))
         labels.append(str(label))
     game = ParityGame(tuple(owners), tuple(priorities), tuple(successors), tuple(labels))
     return game, tuple(ids)

@@ -1,7 +1,13 @@
 """Benchmark model and formula generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import amcheck
 from amcheck.benchgen import gen_castle, gen_modulo, gen_random_cgf, gen_random_formula
 from amcheck.formula import (
     Allows,
@@ -54,6 +60,25 @@ class TestRandomFormula:
         a = gen_random_formula(9, 3, ATOMS, seed=5)
         b = gen_random_formula(9, 3, ATOMS, seed=5)
         assert a == b
+
+    def test_same_formulas_under_any_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED; the formulas must not
+        script = (
+            "from amcheck.benchgen import gen_random_formula\n"
+            "from amcheck.formula import format_formula\n"
+            "for seed in range(50):\n"
+            "    print(format_formula(gen_random_formula(12, 3, ('p1', 'p2'), seed)))\n"
+        )
+        src = str(Path(amcheck.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 50
 
     def test_coalitions_within_agent_bound(self):
         def walk(t):

@@ -1,6 +1,8 @@
 """Parity game construction, solving, and the PGSolver text format."""
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -190,6 +192,31 @@ class TestZielonka:
             assert sol.winners == brute_force_solve(game).winners
             assert_strategy_wins(game, sol)
 
+    def test_differential_larger_games(self):
+        # up to 12 positions and 8 priorities: in 26 of these 150 games some
+        # subgame goes round the solver's loop again after an opponent trap
+        rng = random.Random(1998)
+        for _ in range(150):
+            game = random_parity_game(rng, max_positions=12, max_priority=7)
+            sol = zielonka_solve(game)
+            assert sol.winners == brute_force_solve(game).winners
+            assert_strategy_wins(game, sol)
+
+    def test_many_priorities_keep_recursion_limit(self):
+        # position v has priority v and may stay or step down to v - 1, so
+        # the solver nests once per priority; Exists wins by stepping down
+        # from every odd position and staying at every even one
+        n = 1500
+        game = make_game(
+            [(EXISTS, v, (v, v - 1) if v else (0,), str(v)) for v in range(n)]
+        )
+        limit = sys.getrecursionlimit()
+        sol = zielonka_solve(game)
+        assert sys.getrecursionlimit() == limit
+        assert sol.winners == (EXISTS,) * n
+        assert all(sol.strategy[v] == v - (v % 2) for v in range(n))
+        assert_strategy_wins(game, sol)
+
     def test_brute_force_size_guard(self):
         game = make_game([(EXISTS, 0, (v,), f"v{v}") for v in range(13)])
         with pytest.raises(ValueError, match="12 positions"):
@@ -240,3 +267,70 @@ class TestPgsolverFormat:
             import_pgsolver('0 0 0 0 "a";\n0 1 1 0 "b";\n')
         with pytest.raises(ModelError, match="points at unknown position"):
             import_pgsolver('0 0 0 0,9 "a";\n')
+
+    # (row, (id, priority, owner, successor ids, label)) for one row placed
+    # next to filler rows for the ids 1, 2 and 12 it may point at.
+    ACCEPTED_ROWS = [
+        ('5 2 1 1,2 "a";', (5, 2, FORALL, (1, 2), "a")),
+        ("5 2 0 1;", (5, 2, EXISTS, (1,), "5")),
+        ("05 2 0 1;", (5, 2, EXISTS, (1,), "05")),
+        ('5 2 0 1 , 2 "a";', (5, 2, EXISTS, (1, 2), "a")),
+        ("5 2 0 1 2;", (5, 2, EXISTS, (12,), "5")),  # spaces are dropped
+        ("5 2 0 1,\t2;", (5, 2, EXISTS, (1, 2), "5")),
+        ("5 2 0 ;", (5, 2, EXISTS, (), "5")),
+        ("5 2 0 ,;", (5, 2, EXISTS, (), "5")),
+        ('5 2 0 "a";', (5, 2, EXISTS, (), "a")),
+        ("5 2 0 1,,2, ;", (5, 2, EXISTS, (1, 2), "5")),
+        ("5 2 0 1,\t;", (5, 2, EXISTS, (1,), "5")),
+        ("5 2 0 1,1;", (5, 2, EXISTS, (1,), "5")),
+        ('5 2 0 1 "a"b";', (5, 2, EXISTS, (1,), 'a"b')),
+        ('5 2 0 1 "a" "b";', (5, 2, EXISTS, (1,), 'a" "b')),
+        ('5 2 0 1 "a;b";', (5, 2, EXISTS, (1,), "a;b")),
+        ('5 2 0 1"a";', (5, 2, EXISTS, (1,), "a")),
+        ('5 2 0 1 "";', (5, 2, EXISTS, (1,), "5")),
+        ('5 2 0 1 "a"  ;', (5, 2, EXISTS, (1,), "a")),
+        ('\t5\t2\t0\t1\t"a"\t;  ', (5, 2, EXISTS, (1,), "a")),
+    ]
+    REJECTED_ROWS = [
+        "5 2 0;",
+        '5 2 0"a";',
+        "5 2 2 1;",
+        "5 2 01 1;",
+        "5 -2 0 1;",
+        "5 2 0 -1;",
+        "5 2 0 1",
+        "5 2 0 1;x",
+        '5 2 0 1 "a";;',
+        '5 2 0 1 "a;',
+        '5 2 0 1 "a" x;',
+        '5 2 0 1 x "a";',
+        "5 2 0 1 x;",
+        "5;",
+        '"a";',
+        "x 2 0 1;",
+    ]
+
+    @pytest.mark.parametrize("row, expected", ACCEPTED_ROWS)
+    def test_import_accepted_rows(self, row, expected):
+        game, ids = import_pgsolver(f"1 0 0 1;\n2 0 0 2;\n12 0 0 12;\n{row}\n")
+        v = ids.index(expected[0])
+        succ = tuple(ids[u] for u in game.successors[v])
+        assert (ids[v], game.priorities[v], game.owners[v], succ, game.labels[v]) == expected
+
+    @pytest.mark.parametrize("row", REJECTED_ROWS)
+    def test_import_rejected_rows(self, row):
+        with pytest.raises(ModelError, match="unparsable game row"):
+            import_pgsolver(f"1 0 0 1;\n{row}\n")
+
+    def test_import_drops_every_blank_in_successors(self):
+        # a tab reads like a space, and no blank escapes as a ValueError
+        game, ids = import_pgsolver("12 0 0 1\t2,\t,12;\n")
+        assert ids == (12,)
+        assert game.successors == ((0,),)
+
+    def test_import_malformed_row_fails_fast(self):
+        row = "0 0 0 1" + " " * 2000 + "x;"
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="unparsable game row"):
+            import_pgsolver(row + "\n")
+        assert time.perf_counter() - start < 0.5
