@@ -64,7 +64,6 @@ from .model import (
     Ef,
     Model,
     canonical_family,
-    format_coalition_key,
     format_grand,
     load_model,
     loads_model,

@@ -22,7 +22,6 @@ from .formula import (
     Or,
     Top,
     Var,
-    connective_count,
     validate_formula,
 )
 from .model import Cgf
@@ -32,6 +31,8 @@ def gen_random_cgf(states: int, agents: int, moves_per_agent: int, atoms, seed: 
     """Uniform random frame: every agent has the same number of moves
     everywhere, outcomes are drawn uniformly, and each atom holds at each
     state with probability one half."""
+    if states < 1 or agents < 1 or moves_per_agent < 1:
+        raise ValueError("need at least one state, one agent and one move")
     rng = random.Random(seed)
     names = tuple(f"w{i}" for i in range(1, states + 1))
     move_counts = {w: tuple([moves_per_agent] * agents) for w in names}
@@ -57,6 +58,8 @@ def gen_random_formula(
     """Random closed clean formula with exactly `size` connectives.  Every
     binder's variable occurs in its body, tracked by threading the set of
     variables the subtree still owes an occurrence."""
+    if size < 0:
+        raise ValueError("formula size must not be negative")
     rng = random.Random(seed)
     atom_pool = list(atoms)
     counter = itertools.count()
@@ -105,7 +108,6 @@ def gen_random_formula(
         return Mu(var, body) if kind == "mu" else Nu(var, body)
 
     f = build(size, frozenset(), frozenset(), 0)
-    assert connective_count(f) == size
     validate_formula(f)
     return f
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import statistics
 import sys
@@ -121,26 +122,29 @@ def _write_suite(out_dir: Path, stem: str, model, formulas) -> list[Path]:
 def cmd_gen(args, parser) -> int:
     out_dir = Path(args.out_dir)
     written: list[Path] = []
-    if args.family == "modulo":
-        model, formulas = benchgen.gen_modulo(args.agents, args.moves, args.base)
-        written = _write_suite(out_dir, f"modulo-a{args.agents}-m{args.moves}-b{args.base}", model, formulas)
-    elif args.family == "castle":
-        model, formulas = benchgen.gen_castle(args.castles, args.hp)
-        written = _write_suite(out_dir, f"castle-n{args.castles}-h{args.hp}", model, formulas)
-    else:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        seed = int(os.environ.get("AMC_SEED", args.seed))
-        rng_seeds = _instance_seeds(seed, args.count)
-        atoms = [f"p{i}" for i in range(1, args.atoms + 1)]
-        for model_seed, formula_seed in rng_seeds:
-            model = benchgen.gen_random_cgf(args.states, args.agents, args.moves, atoms, model_seed)
-            path = out_dir / f"random-s{args.states}-a{args.agents}-m{args.moves}-seed{model_seed}.cgf.json"
-            save_model(model, path)
-            written.append(path)
-            formula = benchgen.gen_random_formula(args.formula_size, args.agents, atoms, formula_seed)
-            path = out_dir / f"random-size{args.formula_size}-seed{formula_seed}.amc"
-            path.write_text(format_formula(formula) + "\n")
-            written.append(path)
+    try:
+        if args.family == "modulo":
+            model, formulas = benchgen.gen_modulo(args.agents, args.moves, args.base)
+            written = _write_suite(out_dir, f"modulo-a{args.agents}-m{args.moves}-b{args.base}", model, formulas)
+        elif args.family == "castle":
+            model, formulas = benchgen.gen_castle(args.castles, args.hp)
+            written = _write_suite(out_dir, f"castle-n{args.castles}-h{args.hp}", model, formulas)
+        else:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            seed = int(os.environ.get("AMC_SEED", args.seed))
+            rng_seeds = _instance_seeds(seed, args.count)
+            atoms = [f"p{i}" for i in range(1, args.atoms + 1)]
+            for model_seed, formula_seed in rng_seeds:
+                model = benchgen.gen_random_cgf(args.states, args.agents, args.moves, atoms, model_seed)
+                formula = benchgen.gen_random_formula(args.formula_size, args.agents, atoms, formula_seed)
+                path = out_dir / f"random-s{args.states}-a{args.agents}-m{args.moves}-seed{model_seed}.cgf.json"
+                save_model(model, path)
+                written.append(path)
+                path = out_dir / f"random-size{args.formula_size}-seed{formula_seed}.amc"
+                path.write_text(format_formula(formula) + "\n")
+                written.append(path)
+    except ValueError as exc:
+        parser.error(str(exc))
     for path in written:
         print(path)
     return 0
@@ -241,7 +245,10 @@ def cmd_bench(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it is shared, so
+    callers only read it."""
     parser = argparse.ArgumentParser(
         prog="amc",
         description="Model checker for the alternating-time mu-calculus over game and effectivity frames.",

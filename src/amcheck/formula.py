@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FormulaError, ParseError
 
@@ -396,12 +397,20 @@ def fixpoint_priorities(f: Formula) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class ClosureNode:
+    """One closure member: its kind and data, its children's node ids, and
+    the source subterm it was built from.  The label text is rendered from
+    that subterm when first read."""
+
     kind: str  # top bot atom negatom and or enforce allows mu nu
     atom: str | None
     coalition: tuple[int, ...] | None
     children: tuple[int, ...]
     priority: int
-    label: str
+    term: Formula
+
+    @cached_property
+    def label(self) -> str:
+        return format_formula(self.term)
 
 
 @dataclass(frozen=True)
@@ -414,7 +423,6 @@ class ClosureGraph:
     nodes: tuple[ClosureNode, ...]
     root: int
     max_priority: int
-    source: Formula
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -430,58 +438,39 @@ class ClosureGraph:
 def build_closure(f: Formula) -> ClosureGraph:
     validate_formula(f)
     priorities = fixpoint_priorities(f)
-    records: list[list] = []  # kind, atom, coalition, children(list), priority, label
+    records: list[list] = []  # kind, atom, coalition, children, priority, term
     shared: dict[tuple, int] = {}
 
-    def leaf(kind: str, atom: str | None, label: str) -> int:
-        return node(kind, atom, None, [], 0, label)
-
-    def node(kind, atom, coalition, children, priority, label) -> int:
-        key = (kind, atom, coalition, tuple(children))
-        if key in shared:
-            return shared[key]
-        nid = len(records)
-        records.append([kind, atom, coalition, children, priority, label])
-        shared[key] = nid
-        return nid
+    def node(t: Formula, kind: str, atom=None, coalition=None, children=()) -> int:
+        key = (kind, atom, coalition, children)
+        if key not in shared:
+            shared[key] = len(records)
+            records.append([kind, atom, coalition, children, 0, t])
+        return shared[key]
 
     def go(t: Formula, env: dict[str, int]) -> int:
         if isinstance(t, Var):
             return env[t.name]
         if isinstance(t, Top):
-            return leaf("top", None, "true")
+            return node(t, "top")
         if isinstance(t, Bot):
-            return leaf("bot", None, "false")
+            return node(t, "bot")
         if isinstance(t, Atom):
-            return leaf("atom", t.name, t.name)
+            return node(t, "atom", t.name)
         if isinstance(t, NegAtom):
-            return leaf("negatom", t.name, "~" + t.name)
+            return node(t, "negatom", t.name)
         if isinstance(t, (And, Or)):
             kind = "and" if isinstance(t, And) else "or"
-            left = go(t.left, env)
-            right = go(t.right, env)
-            return node(kind, None, None, [left, right], 0, format_formula(t))
+            return node(t, kind, children=(go(t.left, env), go(t.right, env)))
         if isinstance(t, (Enforce, Allows)):
             kind = "enforce" if isinstance(t, Enforce) else "allows"
-            child = go(t.arg, env)
-            return node(kind, None, t.coalition, [child], 0, format_formula(t))
+            return node(t, kind, coalition=t.coalition, children=(go(t.arg, env),))
         # fixpoints are never shared: a clean formula binds each variable once
-        kind = "mu" if isinstance(t, Mu) else "nu"
         nid = len(records)
-        records.append([kind, None, None, [None], priorities[t.var], format_formula(t)])
-        body = go(t.body, {**env, t.var: nid})
-        records[nid][3][0] = body
+        records.append(["mu" if isinstance(t, Mu) else "nu", None, None, (), priorities[t.var], t])
+        records[nid][3] = (go(t.body, {**env, t.var: nid}),)
         return nid
 
     root = go(f, {})
-    assert len(records) <= syntactic_size(f)
-    nodes = tuple(
-        ClosureNode(kind, atom, coalition, tuple(children), priority, label)
-        for kind, atom, coalition, children, priority, label in records
-    )
-    return ClosureGraph(
-        nodes=nodes,
-        root=root,
-        max_priority=max(n.priority for n in nodes),
-        source=f,
-    )
+    nodes = tuple(ClosureNode(*record) for record in records)
+    return ClosureGraph(nodes=nodes, root=root, max_priority=max(n.priority for n in nodes))

@@ -10,7 +10,7 @@ states and stay within |W| * |closure| * (|grand moves| + 1) positions.
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ModelError
@@ -23,10 +23,14 @@ FORALL = "Forall"
 
 @dataclass
 class ParityGame:
+    """Positions 0..n-1 as parallel rows.  An imported game carries its label
+    strings; a built game carries a view that renders each label from the
+    position's state, closure node and chosen group when it is read."""
+
     owners: tuple[str, ...]
     priorities: tuple[int, ...]
     successors: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    labels: Sequence[str]
 
     def __len__(self) -> int:
         return len(self.owners)
@@ -42,37 +46,27 @@ class Solution:
     strategy: dict[int, int] = field(default_factory=dict)
 
 
-class _GameBuilder:
-    """Breadth-first reachable construction; positions are numbered in
-    discovery order, so the row arrays line up with the index map."""
+@dataclass
+class _Labels(Sequence):
+    """Read-only labels of a built game: ``w,<node label>``, followed by
+    ``,(joint move)`` or ``,{set}`` at a position that resolves a group."""
 
-    def __init__(self):
-        self.index: dict = {}
-        self.queue: deque = deque()
-        self.owners: list[str] = []
-        self.priorities: list[int] = []
-        self.successors: list[tuple[int, ...]] = []
-        self.labels: list[str] = []
+    keys: list  # position keys, in position order
+    nodes: tuple  # the closure's nodes
+    groups: dict  # (state, coalition) -> the model's outcome groups
 
-    def position(self, key) -> int:
-        if key not in self.index:
-            self.index[key] = len(self.index)
-            self.queue.append(key)
-        return self.index[key]
+    def __len__(self) -> int:
+        return len(self.keys)
 
-    def emit(self, owner: str, priority: int, succ_keys, label: str) -> None:
-        self.owners.append(owner)
-        self.priorities.append(priority)
-        self.successors.append(tuple(dict.fromkeys(map(self.position, succ_keys))))
-        self.labels.append(label)
-
-    def finish(self) -> ParityGame:
-        return ParityGame(
-            tuple(self.owners),
-            tuple(self.priorities),
-            tuple(self.successors),
-            tuple(self.labels),
-        )
+    def __getitem__(self, v: int) -> str:
+        key = self.keys[v]  # ("f", w, nid) or ("g", w, nid, group index)
+        w, node = key[1], self.nodes[key[2]]
+        if len(key) == 3:
+            return f"{w},{node.label}"
+        choice, reached = self.groups[w, node.coalition][key[3]]
+        if isinstance(choice, tuple):  # a joint move
+            return f"{w},{node.label},({','.join(map(str, choice))})"
+        return f"{w},{node.label},{{{' '.join(reached)}}}"  # an effectivity set
 
 
 def build_game(model, closure: ClosureGraph, states=None, deadline=None):
@@ -80,62 +74,72 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
 
     Modal positions branch on the coalition's outcome groups (its joint moves
     on a game frame, its listed sets on an effectivity frame), then on the
-    states the chosen group reaches.
+    states the chosen group reaches.  Positions are numbered in discovery
+    order and processed in that order, so one list of position keys is both
+    the breadth-first work queue and what the game's labels are rendered from.
     """
     if states is None:
         states = list(model.states)
-    builder = _GameBuilder()
-    roots = {w: builder.position(("f", w, closure.root)) for w in states}
+    index: dict = {}
+    keys: list = []
+    owners: list[str] = []
+    priorities: list[int] = []
+    successors: list[tuple[int, ...]] = []
+
+    def position(key) -> int:
+        if key not in index:
+            index[key] = len(keys)
+            keys.append(key)
+        return index[key]
+
+    def emit(owner: str, priority: int, succ_keys) -> None:
+        owners.append(owner)
+        priorities.append(priority)
+        successors.append(tuple(dict.fromkeys(map(position, succ_keys))))
+
+    roots = {w: position(("f", w, closure.root)) for w in states}
     nodes = closure.nodes
     groups: dict = {}  # (state, coalition) -> the model's outcome groups
-    while builder.queue:
+    for key in keys:  # emit appends newly discovered keys behind this one
         if deadline is not None:
             deadline.check()
-        key = builder.queue.popleft()
         if key[0] == "f":
             _, w, nid = key
             node = nodes[nid]
             kind = node.kind
-            label = f"{w},{node.label}"
             if kind == "top":
-                builder.emit(FORALL, 0, (), label)
+                emit(FORALL, 0, ())
             elif kind == "bot":
-                builder.emit(EXISTS, 0, (), label)
+                emit(EXISTS, 0, ())
             elif kind == "atom":
                 loop = (key,) if w in model.atom_states(node.atom) else ()
-                builder.emit(EXISTS, 0, loop, label)
+                emit(EXISTS, 0, loop)
             elif kind == "negatom":
                 loop = (key,) if w in model.atom_states(node.atom) else ()
-                builder.emit(FORALL, 1, loop, label)
+                emit(FORALL, 1, loop)
             elif kind == "and":
                 left, right = node.children
-                builder.emit(FORALL, 0, (("f", w, left), ("f", w, right)), label)
+                emit(FORALL, 0, (("f", w, left), ("f", w, right)))
             elif kind == "or":
                 left, right = node.children
-                builder.emit(EXISTS, 0, (("f", w, left), ("f", w, right)), label)
+                emit(EXISTS, 0, (("f", w, left), ("f", w, right)))
             elif kind in ("mu", "nu"):
-                builder.emit(EXISTS, node.priority, (("f", w, node.children[0]),), label)
+                emit(EXISTS, node.priority, (("f", w, node.children[0]),))
             else:  # enforce / allows: pick one of the coalition's groups
                 at = (w, node.coalition)
                 if at not in groups:
                     groups[at] = model.groups(w, node.coalition)
                 owner = EXISTS if kind == "enforce" else FORALL
-                builder.emit(owner, 0, [("g", w, nid, i) for i in range(len(groups[at]))], label)
+                emit(owner, 0, [("g", w, nid, i) for i in range(len(groups[at]))])
         else:  # ("g", w, nid, group index): pick a state the group reaches
             _, w, nid, i = key
             node = nodes[nid]
-            choice, reached = groups[w, node.coalition][i]
+            _, reached = groups[w, node.coalition][i]
             child = node.children[0]
             owner = FORALL if node.kind == "enforce" else EXISTS
-            label = f"{w},{node.label},{_choice_label(choice, reached)}"
-            builder.emit(owner, 0, [("f", v, child) for v in reached], label)
-    return builder.finish(), roots
-
-
-def _choice_label(choice, reached) -> str:
-    if isinstance(choice, tuple):  # a joint move
-        return f"({','.join(str(m) for m in choice)})"
-    return f"{{{' '.join(reached)}}}"  # an effectivity set
+            emit(owner, 0, [("f", v, child) for v in reached])
+    game = ParityGame(tuple(owners), tuple(priorities), tuple(successors), _Labels(keys, nodes, groups))
+    return game, roots
 
 
 # game_verdicts looks the builder up under one name per frame kind, so that

@@ -21,6 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import ModelError
+from .formula import format_coalition
 
 
 @dataclass
@@ -92,7 +93,7 @@ class Ef:
         per_state = self.effectivity[state]
         if coalition not in per_state:
             raise ModelError(
-                f"no effectivity entry for coalition {format_coalition_key(coalition)} at state {state}"
+                f"no effectivity entry for coalition {format_coalition(coalition)} at state {state}"
             )
         return per_state[coalition]
 
@@ -128,10 +129,6 @@ def outcome(g: Cgf, state: str, grand: tuple[int, ...]) -> str:
 
 def format_grand(grand: tuple[int, ...]) -> str:
     return ",".join(str(m) for m in grand)
-
-
-def format_coalition_key(coalition: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(a) for a in coalition) + "}"
 
 
 def canonical_family(sets) -> tuple[frozenset[str], ...]:
@@ -228,7 +225,7 @@ def validate_ef(e: Ef) -> list[str]:
         errors.append(f"effectivity given for unknown state {w}")
     for w, per_state in e.effectivity.items():
         for coalition, family in per_state.items():
-            where = f"{format_coalition_key(coalition)} at state {w}"
+            where = f"{format_coalition(coalition)} at state {w}"
             if any(not 1 <= a <= e.agents for a in coalition):
                 errors.append(f"unknown agent in coalition {where}")
             if tuple(sorted(set(coalition))) != coalition:
@@ -341,7 +338,7 @@ def model_to_json(model: Model) -> str:
     else:
         obj["effectivity"] = {
             w: {
-                format_coalition_key(coalition): [sorted(u) for u in family]
+                format_coalition(coalition): [sorted(u) for u in family]
                 for coalition, family in sorted(
                     model.effectivity.get(w, {}).items(), key=lambda kv: (len(kv[0]), kv[0])
                 )

@@ -1,11 +1,17 @@
 """End-to-end command line behavior: exit codes, output shapes, file effects."""
 
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import amcheck
 from amcheck.cli import main
 from amcheck.model import load_model, save_model
 from amcheck.benchgen import gen_modulo
@@ -300,6 +306,37 @@ class TestGen:
         assert contents(a) != contents(c)
 
 
+# Generator arguments out of range: each once hung, raised a traceback or wrote
+# a model that the loader rejects.
+BAD_GENERATOR_ARGS = [
+    ["gen", "random", "--formula-size", "-1"],
+    ["gen", "random", "--states", "0"],
+    ["gen", "random", "--agents", "0"],
+    ["gen", "random", "--moves", "0"],
+    ["gen", "castle", "--castles", "1", "--hp", "1"],
+    ["gen", "modulo", "--agents", "0", "--moves", "2"],
+    ["bench", "--suite", "random", "--engines", "cgf-game", "--sizes=-1"],
+    ["bench", "--suite", "random", "--engines", "cgf-game", "--states", "0"],
+]
+
+
+class TestGeneratorArguments:
+    @pytest.mark.parametrize("argv", BAD_GENERATOR_ARGS, ids=" ".join)
+    def test_out_of_range_exits_2(self, tmp_path, argv):
+        # a child process with a time limit, so that a hang fails the test
+        # instead of stalling the suite
+        src = str(Path(amcheck.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "amcheck.cli", *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        assert "error:" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSolveGame:
     def test_trivial_game(self, capsys, tmp_path):
         path = tmp_path / "g.pg"
@@ -319,6 +356,22 @@ class TestSolveGame:
         code, _, err = run(capsys, "solve-game", "--in", str(tmp_path / "nope.pg"))
         assert code == 3
         assert err.startswith("error:")
+
+    def test_parser_built_once_per_process(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "g.pg"
+        path.write_text('parity 0;\n0 0 0 0 "loop";\n')
+        run(capsys, "solve-game", "--in", str(path))
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            assert run(capsys, "solve-game", "--in", str(path)) == (0, "0: Exists\n", "")
+        assert built == []
 
 
 def parse_csv(out):

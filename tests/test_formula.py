@@ -264,7 +264,9 @@ class TestClosure:
             build_closure(Or(Atom("p"), Var("X")))
 
     def test_labels_render_subterms(self):
-        g = build_closure(parse_formula("mu X. p | [{1,3}] X"))
+        f = parse_formula("mu X. p | [{1,3}] X")
+        g = build_closure(f)
+        assert g.nodes[g.root].term is f
         labels = {n.label for n in g.nodes}
         assert "p" in labels
         assert "mu X. (p | [{1,3}] X)" in labels

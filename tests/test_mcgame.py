@@ -1,13 +1,15 @@
 """Parity game construction, solving, and the PGSolver text format."""
 
+import hashlib
 import random
 import sys
 import time
 
 import pytest
 
+import amcheck.formula
 from helpers import assert_strategy_wins, random_parity_game
-from amcheck import build_closure, parse_formula
+from amcheck import build_closure, convert, gen_castle, gen_modulo, parse_formula
 from amcheck.errors import ModelError
 from amcheck.mcgame import (
     EXISTS,
@@ -125,6 +127,54 @@ class TestBuildEf:
         closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
         game, _ = build_game_ef(smallgame_min_ef, closure)
         assert len(game) <= 3 * len(closure) * (2**3 + 1)
+
+
+# sha256 of the concatenated export_pgsolver texts of a suite's games, one per
+# formula in suite order, on the game frame ("cgf") and on its minimized
+# effectivity frame over all coalitions ("ef").
+GAME_DIGESTS = {
+    ("castle-n2-h1", "cgf"): "b0fa01e29257850154528d8d8e7247489ac037e3f9d049901b7a47143d6c8b1f",
+    ("castle-n2-h1", "ef"): "91071a40dc488e809b495a6ded0ce0e56563c9a00503a6db247f5bb2c8173c53",
+    ("modulo-a2-m3", "cgf"): "2933598cfb6f2be89882923af8881cab07fb8ab47c115f3a3eb0479d3693c846",
+    ("modulo-a2-m3", "ef"): "0ff9680ae081513c47ac1d2156fb0d467a63113607063905bf90dda1274b213e",
+}
+
+
+class TestLabels:
+    def test_building_renders_no_text(self, smallgame, smallgame_min_ef, monkeypatch):
+        rendered = []
+        real = amcheck.formula.format_formula
+
+        def counting(f):
+            rendered.append(f)
+            return real(f)
+
+        monkeypatch.setattr(amcheck.formula, "format_formula", counting)
+        closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
+        game, roots = build_game_cgf(smallgame, closure)
+        build_game_ef(smallgame_min_ef, closure)
+        assert rendered == []
+        assert game.labels[roots["w1"]] == "w1,mu X. (q | [{1,3}] X)"
+        assert rendered
+
+    @pytest.mark.parametrize("suite,kind", sorted(GAME_DIGESTS))
+    def test_built_games_keep_their_text(self, suite, kind):
+        frame, formulas = gen_castle(2, 1) if suite.startswith("castle") else gen_modulo(2, 3)
+        model = frame if kind == "cgf" else convert(frame, minimize_families=True)[0]
+        build = build_game_cgf if kind == "cgf" else build_game_ef
+        digest = hashlib.sha256()
+        for _, f in formulas:
+            digest.update(export_pgsolver(build(model, build_closure(f))[0]).encode())
+        assert digest.hexdigest() == GAME_DIGESTS[suite, kind]
+
+    def test_round_trip_gives_back_built_labels(self, smallgame, smallgame_min_ef):
+        closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
+        for model in (smallgame, smallgame_min_ef):
+            game, _ = build_game_cgf(model, closure)
+            assert build_game_cgf(model, closure)[0] == game
+            imported, _ = import_pgsolver(export_pgsolver(game))
+            assert len(game.labels) == len(game)
+            assert list(imported.labels) == list(game.labels)
 
 
 class TestZielonka:

@@ -7,11 +7,11 @@ import pytest
 
 import amcheck.model
 from amcheck.errors import ModelError
+from amcheck.formula import format_coalition
 from amcheck.model import (
     MAX_LISTED_MISSING,
     Cgf,
     canonical_family,
-    format_coalition_key,
     format_grand,
     load_model,
     loads_model,
@@ -288,5 +288,5 @@ class TestJson:
 
     def test_format_helpers(self):
         assert format_grand((2, 1, 3)) == "2,1,3"
-        assert format_coalition_key((1, 3)) == "{1,3}"
-        assert format_coalition_key(()) == "{}"
+        assert format_coalition((1, 3)) == "{1,3}"
+        assert format_coalition(()) == "{}"
