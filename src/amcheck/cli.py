@@ -160,7 +160,10 @@ def _instance_seeds(seed: int, count: int) -> list[tuple[int, int]]:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(part) for part in text.split(",")]
 
 
@@ -236,6 +239,8 @@ def cmd_bench(args, parser) -> int:
         cells = _bench_cells(args, seed)
     except ValueError as exc:
         parser.error(str(exc))
+    if not all(pairs and all(closures for _, closures in pairs) for _, pairs in cells):
+        parser.error("every cell must check at least one formula")
     writer = csv.writer(sys.stdout)
     writer.writerow(["parameter", "engine", "mean", "reps", "timeouts", "conv_mean"])
     for parameter, pairs in cells:

@@ -91,75 +91,73 @@ Formula = Top | Bot | Atom | NegAtom | And | Or | Enforce | Allows | Var | Mu | 
 _PREFIX = (Enforce, Allows, Mu, Nu)
 
 
+def _children(f: Formula) -> tuple:
+    """Direct subformulas, left to right."""
+    if isinstance(f, (And, Or)):
+        return (f.left, f.right)
+    if isinstance(f, (Enforce, Allows)):
+        return (f.arg,)
+    if isinstance(f, (Mu, Nu)):
+        return (f.body,)
+    return ()
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Var):
         return frozenset((f.name,))
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Enforce, Allows)):
-        return free_vars(f.arg)
-    if isinstance(f, (Mu, Nu)):
-        return free_vars(f.body) - {f.var}
-    return frozenset()
+    free = frozenset().union(*map(free_vars, _children(f)))
+    return free - {f.var} if isinstance(f, (Mu, Nu)) else free
+
+
+def _check_depth(f: Formula) -> None:
+    """Reject a tree with a root-to-leaf path of more than MAX_DEPTH nodes.
+    The walk keeps its own stack, so a tree of any depth is safe to check."""
+    stack = [(f, 1)]
+    while stack:
+        t, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in _children(t))
 
 
 def validate_formula(f: Formula) -> None:
-    """Reject open or unclean formulas (every variable bound at most once)."""
+    """Reject formulas nested deeper than MAX_DEPTH, and open or unclean
+    ones (every variable bound at most once)."""
+    _check_depth(f)
     free = free_vars(f)
     if free:
         raise FormulaError(f"unbound variable {sorted(free)[0]}")
     seen: set[str] = set()
-
-    def walk(t: Formula) -> None:
-        if isinstance(t, (And, Or)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, (Enforce, Allows)):
+    stack = [f]
+    while stack:  # preorder, left subtree first
+        t = stack.pop()
+        if isinstance(t, (Enforce, Allows)):
             if any(a < 1 for a in t.coalition):
                 raise FormulaError(f"agent ids must be positive: {t.coalition}")
             if tuple(sorted(set(t.coalition))) != t.coalition:
                 raise FormulaError(f"coalition not strictly ascending: {t.coalition}")
-            walk(t.arg)
         elif isinstance(t, (Mu, Nu)):
             if t.var in seen:
                 raise FormulaError(f"variable {t.var} bound twice")
             seen.add(t.var)
-            walk(t.body)
-
-    walk(f)
+        stack.extend(reversed(_children(t)))
 
 
 def connective_count(f: Formula) -> int:
     """Number of connectives; leaves contribute nothing."""
-    if isinstance(f, (And, Or)):
-        return 1 + connective_count(f.left) + connective_count(f.right)
-    if isinstance(f, (Enforce, Allows)):
-        return 1 + connective_count(f.arg)
-    if isinstance(f, (Mu, Nu)):
-        return 1 + connective_count(f.body)
-    return 0
+    children = _children(f)
+    return 1 + sum(map(connective_count, children)) if children else 0
 
 
 def syntactic_size(f: Formula) -> int:
     """Connectives plus leaves."""
-    if isinstance(f, (And, Or)):
-        return 1 + syntactic_size(f.left) + syntactic_size(f.right)
-    if isinstance(f, (Enforce, Allows)):
-        return 1 + syntactic_size(f.arg)
-    if isinstance(f, (Mu, Nu)):
-        return 1 + syntactic_size(f.body)
-    return 1
+    return 1 + sum(map(syntactic_size, _children(f)))
 
 
 def coalitions_in(f: Formula) -> set[tuple[int, ...]]:
     """All coalitions mentioned by modalities, for restricted conversion."""
-    if isinstance(f, (And, Or)):
-        return coalitions_in(f.left) | coalitions_in(f.right)
-    if isinstance(f, (Enforce, Allows)):
-        return {f.coalition} | coalitions_in(f.arg)
-    if isinstance(f, (Mu, Nu)):
-        return coalitions_in(f.body)
-    return set()
+    own = {f.coalition} if isinstance(f, (Enforce, Allows)) else set()
+    return own.union(*map(coalitions_in, _children(f)))
 
 
 def format_coalition(coalition: tuple[int, ...]) -> str:
@@ -171,8 +169,13 @@ def format_formula(f: Formula) -> str:
 
     Binary nodes carry their own parentheses; a prefix form only needs them
     when it sits left of a binary operator, where it would otherwise swallow
-    the rest of the line.
+    the rest of the line.  Trees deeper than MAX_DEPTH raise FormulaError.
     """
+    _check_depth(f)
+    return _format(f)
+
+
+def _format(f: Formula) -> str:
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bot):
@@ -185,17 +188,17 @@ def format_formula(f: Formula) -> str:
         return f.name
     if isinstance(f, (And, Or)):
         op = "&" if isinstance(f, And) else "|"
-        left = format_formula(f.left)
+        left = _format(f.left)
         if isinstance(f.left, _PREFIX):
             left = "(" + left + ")"
-        return f"({left} {op} {format_formula(f.right)})"
+        return f"({left} {op} {_format(f.right)})"
     if isinstance(f, Enforce):
-        return f"[{format_coalition(f.coalition)}] {format_formula(f.arg)}"
+        return f"[{format_coalition(f.coalition)}] {_format(f.arg)}"
     if isinstance(f, Allows):
-        return f"<{format_coalition(f.coalition)}> {format_formula(f.arg)}"
+        return f"<{format_coalition(f.coalition)}> {_format(f.arg)}"
     if isinstance(f, Mu):
-        return f"mu {f.var}. {format_formula(f.body)}"
-    return f"nu {f.var}. {format_formula(f.body)}"
+        return f"mu {f.var}. {_format(f.body)}"
+    return f"nu {f.var}. {_format(f.body)}"
 
 
 _KEYWORDS = {"true", "false", "mu", "nu"}
@@ -206,10 +209,11 @@ _SPACE = re.compile(r"[ \t\r\n]*")
 MAX_DEPTH = 100
 """Deepest formula the parser accepts: no path from the root of the syntax
 tree to a leaf passes more than MAX_DEPTH nodes, where each pair of
-parentheses counts as one more level.  Deeper input raises ParseError; the
-limit keeps the recursive parser and the recursive passes over the tree
-(validation, priorities, closure building, formatting) well inside Python's
-recursion limit."""
+parentheses counts as one more level.  Deeper input raises ParseError, and
+validate_formula, build_closure and format_formula reject deeper trees built
+in code with FormulaError.  The limit keeps the recursive parser and the
+recursive passes over the tree (validation, priorities, closure building,
+formatting) well inside Python's recursion limit."""
 
 
 class _Parser:
@@ -375,21 +379,18 @@ def fixpoint_priorities(f: Formula) -> dict[str, int]:
     def walk(t: Formula) -> tuple[frozenset[str], list[tuple[int, frozenset[str]]]]:
         if isinstance(t, Var):
             return frozenset((t.name,)), []
-        if isinstance(t, (And, Or)):
-            fl, dl = walk(t.left)
-            fr, dr = walk(t.right)
-            return fl | fr, dl + dr
-        if isinstance(t, (Enforce, Allows)):
-            return walk(t.arg)
+        free, below = frozenset(), []  # (priority, free variables) per binder below
+        for child in _children(t):
+            child_free, child_below = walk(child)
+            free, below = free | child_free, below + child_below
         if isinstance(t, (Mu, Nu)):
-            fb, db = walk(t.body)
-            dominated = max((p for p, fv in db if t.var in fv), default=0)
+            dominated = max((p for p, fv in below if t.var in fv), default=0)
             want_odd = isinstance(t, Mu)
             prio = dominated if dominated % 2 == int(want_odd) else dominated + 1
             priorities[t.var] = prio
-            free = fb - {t.var}
-            return free, db + [(prio, free)]
-        return frozenset(), []
+            free = free - {t.var}
+            below = below + [(prio, free)]
+        return free, below
 
     walk(f)
     return priorities

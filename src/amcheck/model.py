@@ -13,11 +13,11 @@ fixpoint stepper read of a frame's moves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import ModelError
@@ -56,20 +56,15 @@ class Cgf:
         The reached states list the outcome of every completion by the other
         agents, also in lexicographic order, so repeats are kept.
 
-        One lexicographic walk over the grand moves meets the coalition's
-        joint moves in lexicographic order, whatever the table's own order.
+        The groups come from the move index of the state's move counts, not
+        from the table's own order.
         """
         if state not in self.move_counts:
             raise ModelError(f"unknown state {state}")
         members = _members(coalition, self.agents)
-        table = self.transitions[state]
-        ranges = [range(1, c + 1) for c in self.move_counts[state]]
-        project = itemgetter(*(a - 1 for a in members)) if members else lambda grand: ()
-        reached: dict = {}
-        for grand in itertools.product(*ranges):
-            reached.setdefault(project(grand), []).append(table[grand])
-        joint_moves = itertools.product(*(ranges[a - 1] for a in members))
-        return list(zip(joint_moves, reached.values()))
+        lookup = self.transitions[state].__getitem__
+        joint_moves = _joint_moves(self.move_counts[state], members)
+        return [(joint, list(map(lookup, grands))) for joint, grands in joint_moves]
 
 
 @dataclass
@@ -114,6 +109,24 @@ def _members(coalition, agents: int) -> tuple[int, ...]:
         if not 1 <= a <= agents:
             raise ModelError(f"unknown agent {a}")
     return members
+
+
+@functools.cache
+def _move_index(counts: tuple[int, ...]) -> tuple[dict[str, tuple[int, ...]], frozenset]:
+    """The grand moves of these move counts, in lexicographic order, keyed by
+    their text, and their set.  Built once per counts vector and process."""
+    grand = {format_grand(g): g for g in itertools.product(*(range(1, c + 1) for c in counts))}
+    return grand, frozenset(grand.values())
+
+
+@functools.cache
+def _joint_moves(counts: tuple[int, ...], members: tuple[int, ...]):
+    """The coalition's joint moves in lexicographic order, each with its
+    completions: the grand moves that extend it, in lexicographic order."""
+    completions: dict = {}
+    for grand in _move_index(counts)[0].values():
+        completions.setdefault(tuple(grand[a - 1] for a in members), []).append(grand)
+    return tuple((joint, tuple(grands)) for joint, grands in completions.items())
 
 
 def outcome(g: Cgf, state: str, grand: tuple[int, ...]) -> str:
@@ -178,6 +191,11 @@ def validate_cgf(g: Cgf) -> list[str]:
         if counts is None or len(counts) != g.agents or any(c < 1 for c in counts):
             continue
         table = g.transitions.get(w, {})
+        total = math.prod(counts)
+        # Valid: keyed by exactly the grand moves (sized first, so the index
+        # never outgrows the table), and every target a state.
+        if len(table) == total and table.keys() == _move_index(counts)[1] and state_set.issuperset(table.values()):
+            continue
         # Keys are checked against the counts one coordinate at a time: the
         # admissible grand moves are only listed when few of them are missing,
         # so huge move counts in a small file cost nothing.
@@ -185,7 +203,6 @@ def validate_cgf(g: Cgf) -> list[str]:
             grand for grand in table
             if len(grand) == len(counts) and all(1 <= m <= c for m, c in zip(grand, counts))
         }
-        total = math.prod(counts)
         missing = total - len(admissible)
         if missing > MAX_LISTED_MISSING:
             errors.append(
@@ -247,6 +264,15 @@ def _parse_grand_key(key: str, where: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _parse_table(table: dict, counts, where: str) -> dict[tuple[int, ...], str]:
+    """A state's transition table.  A table with one entry per grand move
+    reads canonical keys from the move index; _parse_grand_key reads the rest."""
+    entries = table.items()
+    known = _move_index(counts)[0] if counts is not None and len(entries) == math.prod(counts) else {}
+    # A falsy hit is the one grand move of zero agents; parsing rejects its key.
+    return {known.get(k) or _parse_grand_key(k, where): str(v) for k, v in entries}
+
+
 def _parse_coalition_key(key: str, where: str) -> tuple[int, ...]:
     if not (key.startswith("{") and key.endswith("}")):
         raise ModelError(f"bad coalition key {key!r} {where}")
@@ -287,10 +313,7 @@ def loads_model(text: str) -> Model:
                 for w, counts in data["moves"].items()
             }
             transitions = {
-                str(w): {
-                    _parse_grand_key(k, f"at state {w}"): str(v)
-                    for k, v in table.items()
-                }
+                str(w): _parse_table(table, move_counts.get(str(w)), f"at state {w}")
                 for w, table in data["transitions"].items()
             }
             model: Model = Cgf(states, agents, move_counts, transitions, valuation, initial)

@@ -446,3 +446,18 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--suite", "modulo", "--engines", "cgf-local", "--moves", "a..b"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "random", "--instances", "0", "--sizes", "4"],
+        ["--suite", "random", "--instances", "-1", "--sizes", "4"],
+        ["--suite", "random", "--moves", "5..2", "--sizes", "4"],
+        ["--suite", "modulo", "--moves", "10..2"],
+        ["--suite", "castle", "--hp", "1", "--formulas", "no-such-formula"],
+    ], ids=["no-instances", "negative-instances", "random-empty-moves", "empty-moves", "no-formula"])
+    def test_rejects_cells_that_check_nothing(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--engines", "cgf-game", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err

@@ -26,6 +26,7 @@ from amcheck.formula import (
     format_formula,
     free_vars,
     syntactic_size,
+    validate_formula,
 )
 from amcheck.benchgen import gen_random_formula
 
@@ -153,6 +154,46 @@ class TestParseErrors:
     def test_zero_agent_id(self):
         with pytest.raises(FormulaError, match="positive"):
             parse_formula("[{0}] p")
+
+
+def _left_and_chain(n):
+    f = Atom("p")
+    for _ in range(n - 1):
+        f = And(f, Atom("p"))
+    return f
+
+
+def _right_or_chain(n):
+    f = Atom("p")
+    for _ in range(n - 1):
+        f = Or(Top(), f)
+    return f
+
+
+def _binder_over_modalities(n):
+    f = Var("X")
+    for i in range(n - 2):
+        f = (Enforce if i % 2 else Allows)((1,), f)
+    return Nu("X", f)
+
+
+class TestInCodeDepth:
+    """Trees built in code, which never pass the parser, meet its depth limit
+    in every recursive walk instead of exhausting Python's recursion."""
+
+    @pytest.mark.parametrize(
+        "shape", [_left_and_chain, _right_or_chain, _binder_over_modalities],
+        ids=["and-chain", "or-chain", "binder"],
+    )
+    @pytest.mark.parametrize(
+        "walk", [validate_formula, format_formula, build_closure],
+        ids=["validate", "format", "closure"],
+    )
+    def test_depth_limit(self, walk, shape):
+        walk(shape(MAX_DEPTH))
+        for depth in (MAX_DEPTH + 1, 5000):
+            with pytest.raises(FormulaError, match=f"formula nests deeper than {MAX_DEPTH} levels"):
+                walk(shape(depth))
 
 
 class TestFormat:

@@ -1,11 +1,13 @@
 """Model data structures, JSON round-trips, and validation."""
 
+import itertools
 import json
 from types import SimpleNamespace
 
 import pytest
 
 import amcheck.model
+from amcheck.benchgen import gen_castle, gen_modulo, gen_random_cgf
 from amcheck.errors import ModelError
 from amcheck.formula import format_coalition
 from amcheck.model import (
@@ -20,6 +22,12 @@ from amcheck.model import (
     validate_cgf,
     validate_ef,
 )
+
+FAMILIES = {
+    "castle": lambda: gen_castle(2, 1)[0],
+    "modulo": lambda: gen_modulo(3, 4, 10)[0],
+    "random": lambda: gen_random_cgf(12, 3, 3, ("p", "q"), 7),
+}
 
 
 class TestFixture:
@@ -290,3 +298,79 @@ class TestJson:
         assert format_grand((2, 1, 3)) == "2,1,3"
         assert format_coalition((1, 3)) == "{1,3}"
         assert format_coalition(()) == "{}"
+
+
+def _defect_file(table):
+    """Two states and two agents; state a has move counts (2, 1) and the
+    given transition table, b a single self-loop."""
+    return json.dumps({
+        "kind": "cgf", "agents": 2, "states": ["a", "b"], "valuation": {},
+        "moves": {"a": [2, 1], "b": [1, 1]},
+        "transitions": {"a": table, "b": {"1,1": "b"}},
+    })
+
+
+class TestLoader:
+    @pytest.mark.parametrize("family", ["castle", "modulo"])
+    def test_canonical_keys_skip_the_parser(self, family, monkeypatch):
+        model = FAMILIES[family]()
+        text = model_to_json(model)
+
+        def parse(key, where):
+            raise AssertionError(f"parsed {key!r}")
+
+        monkeypatch.setattr(amcheck.model, "_parse_grand_key", parse)
+        loaded = loads_model(text)
+        assert loaded.transitions == model.transitions
+        assert model_to_json(loaded) == text
+
+    def test_non_canonical_key_is_parsed(self):
+        model = loads_model(_defect_file({"01,1": "a", "2,1": "b"}))
+        assert model.transitions["a"] == {(1, 1): "a", (2, 1): "b"}
+
+    @pytest.mark.parametrize("table, message", [
+        ({"1,1": "a", "01,1": "b"}, "outcome undefined for admissible grand move 2,1 at state a"),
+        ({"1,1": "a"}, "outcome undefined for admissible grand move 2,1 at state a"),
+        ({"1,1": "a", "2,1": "b", "3,1": "a"}, "inadmissible grand move 3,1 at state a"),
+        ({"1,1": "a", "2,1": "z"}, "transition a --2,1--> z leaves the state set"),
+        ({"1,x": "a", "2,1": "b"}, "bad grand move key '1,x' at state a"),
+        ({"1,1": "a", "3,1": "b"},
+         "outcome undefined for admissible grand move 2,1 at state a\n"
+         "inadmissible grand move 3,1 at state a"),
+    ], ids=["same-move-twice", "missing", "inadmissible", "outside", "non-digit", "full-size-inadmissible"])
+    def test_defect_texts(self, table, message):
+        with pytest.raises(ModelError) as exc:
+            loads_model(_defect_file(table))
+        assert str(exc.value) == message
+
+
+def _naive_groups(model, w, coalition):
+    """Per joint move in lexicographic order, the outcomes of its completions
+    in lexicographic order, by a scan of the whole table per joint move."""
+    counts = model.move_counts[w]
+    table = model.transitions[w]
+    return [
+        (joint, [table[g] for g in sorted(table) if tuple(g[a - 1] for a in coalition) == joint])
+        for joint in itertools.product(*(range(1, counts[a - 1] + 1) for a in coalition))
+    ]
+
+
+class TestRoundTripAndOrder:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("order", ["stored", "reversed"])
+    def test_text_and_groups(self, family, order):
+        text = model_to_json(FAMILIES[family]())
+        data = json.loads(text)
+        if order == "reversed":
+            data["transitions"] = {
+                w: dict(reversed(table.items())) for w, table in data["transitions"].items()
+            }
+        model = loads_model(json.dumps(data))
+        assert model_to_json(model) == text
+        coalitions = [
+            c for size in range(model.agents + 1)
+            for c in itertools.combinations(range(1, model.agents + 1), size)
+        ]
+        for w in model.states:
+            for coalition in coalitions:
+                assert model.groups(w, coalition) == _naive_groups(model, w, coalition)
