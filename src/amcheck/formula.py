@@ -111,13 +111,14 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def _check_depth(f: Formula) -> None:
     """Reject a tree with a root-to-leaf path of more than MAX_DEPTH nodes.
-    The walk keeps its own stack, so a tree of any depth is safe to check."""
-    stack = [(f, 1)]
-    while stack:
-        t, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
-        stack.extend((child, depth + 1) for child in _children(t))
+    The walk goes one level at a time without recursion, so a tree of any
+    depth is safe to check, and it stops at level MAX_DEPTH + 1."""
+    level = [f]
+    for _ in range(MAX_DEPTH):
+        level = [child for t in level for child in _children(t)]
+        if not level:
+            return
+    raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
 
 
 def validate_formula(f: Formula) -> None:

@@ -56,8 +56,8 @@ class Cgf:
         The reached states list the outcome of every completion by the other
         agents, also in lexicographic order, so repeats are kept.
 
-        The groups come from the move index of the state's move counts, not
-        from the table's own order.
+        The joint moves and their completions are cached per move-count
+        vector, so the result does not depend on the table's own order.
         """
         if state not in self.move_counts:
             raise ModelError(f"unknown state {state}")
@@ -111,20 +111,15 @@ def _members(coalition, agents: int) -> tuple[int, ...]:
     return members
 
 
-@functools.cache
-def _move_index(counts: tuple[int, ...]) -> tuple[dict[str, tuple[int, ...]], frozenset]:
-    """The grand moves of these move counts, in lexicographic order, keyed by
-    their text, and their set.  Built once per counts vector and process."""
-    grand = {format_grand(g): g for g in itertools.product(*(range(1, c + 1) for c in counts))}
-    return grand, frozenset(grand.values())
-
-
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _joint_moves(counts: tuple[int, ...], members: tuple[int, ...]):
     """The coalition's joint moves in lexicographic order, each with its
-    completions: the grand moves that extend it, in lexicographic order."""
+    completions: the grand moves that extend it, in lexicographic order.
+    The empty coalition has one joint move, completed by every grand move.
+    Up to 1024 (counts, coalition) pairs stay cached, each holding one tuple
+    per grand move of its counts."""
     completions: dict = {}
-    for grand in _move_index(counts)[0].values():
+    for grand in itertools.product(*(range(1, c + 1) for c in counts)):
         completions.setdefault(tuple(grand[a - 1] for a in members), []).append(grand)
     return tuple((joint, tuple(grands)) for joint, grands in completions.items())
 
@@ -192,9 +187,13 @@ def validate_cgf(g: Cgf) -> list[str]:
             continue
         table = g.transitions.get(w, {})
         total = math.prod(counts)
-        # Valid: keyed by exactly the grand moves (sized first, so the index
-        # never outgrows the table), and every target a state.
-        if len(table) == total and table.keys() == _move_index(counts)[1] and state_set.issuperset(table.values()):
+        # Valid: as many keys as grand moves, each grand move among them
+        # (listed only once the size matches), and every target a state.
+        if (
+            len(table) == total
+            and all(map(table.__contains__, _joint_moves(counts, ())[0][1]))
+            and state_set.issuperset(table.values())
+        ):
             continue
         # Keys are checked against the counts one coordinate at a time: the
         # admissible grand moves are only listed when few of them are missing,
@@ -257,20 +256,19 @@ def validate_ef(e: Ef) -> list[str]:
     return errors
 
 
-def _parse_grand_key(key: str, where: str) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=4096)
+def _grand_from_text(key: str) -> tuple[int, ...] | None:
+    """The grand move a key names, or None if it is not digits joined by
+    commas.  Cached, so a key repeated across states is parsed once."""
     parts = key.split(",")
-    if not all(p.isdigit() for p in parts):
-        raise ModelError(f"bad grand move key {key!r} {where}")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in parts) if all(p.isdigit() for p in parts) else None
 
 
-def _parse_table(table: dict, counts, where: str) -> dict[tuple[int, ...], str]:
-    """A state's transition table.  A table with one entry per grand move
-    reads canonical keys from the move index; _parse_grand_key reads the rest."""
-    entries = table.items()
-    known = _move_index(counts)[0] if counts is not None and len(entries) == math.prod(counts) else {}
-    # A falsy hit is the one grand move of zero agents; parsing rejects its key.
-    return {known.get(k) or _parse_grand_key(k, where): str(v) for k, v in entries}
+def _parse_grand_key(key: str, state: str) -> tuple[int, ...]:
+    grand = _grand_from_text(key)
+    if grand is None:
+        raise ModelError(f"bad grand move key {key!r} at state {state}")
+    return grand
 
 
 def _parse_coalition_key(key: str, where: str) -> tuple[int, ...]:
@@ -313,7 +311,7 @@ def loads_model(text: str) -> Model:
                 for w, counts in data["moves"].items()
             }
             transitions = {
-                str(w): _parse_table(table, move_counts.get(str(w)), f"at state {w}")
+                str(w): {_parse_grand_key(k, w): str(v) for k, v in table.items()}
                 for w, table in data["transitions"].items()
             }
             model: Model = Cgf(states, agents, move_counts, transitions, valuation, initial)

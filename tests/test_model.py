@@ -312,17 +312,31 @@ def _defect_file(table):
 
 class TestLoader:
     @pytest.mark.parametrize("family", ["castle", "modulo"])
-    def test_canonical_keys_skip_the_parser(self, family, monkeypatch):
+    def test_each_key_text_is_parsed_once(self, family):
         model = FAMILIES[family]()
         text = model_to_json(model)
-
-        def parse(key, where):
-            raise AssertionError(f"parsed {key!r}")
-
-        monkeypatch.setattr(amcheck.model, "_parse_grand_key", parse)
+        tables = json.loads(text)["transitions"].values()
+        keys = [k for table in tables for k in table]
+        amcheck.model._grand_from_text.cache_clear()
         loaded = loads_model(text)
+        info = amcheck.model._grand_from_text.cache_info()
+        assert info.misses == len(set(keys)) < len(keys)
+        assert info.hits == len(keys) - len(set(keys))
         assert loaded.transitions == model.transitions
         assert model_to_json(loaded) == text
+
+    def test_huge_and_zero_counts_enumerate_nothing(self, monkeypatch):
+        def product(*ranges):
+            raise AssertionError("grand moves enumerated")
+
+        monkeypatch.setattr(amcheck.model, "itertools", SimpleNamespace(product=product))
+        text = json.dumps({
+            "kind": "cgf", "agents": 2, "states": ["a"], "valuation": {},
+            "moves": {"a": [1000000000, 0]}, "transitions": {"a": {}},
+        })
+        with pytest.raises(ModelError) as exc:
+            loads_model(text)
+        assert str(exc.value) == "m(a,2)=0: every agent needs at least one move at every state"
 
     def test_non_canonical_key_is_parsed(self):
         model = loads_model(_defect_file({"01,1": "a", "2,1": "b"}))
