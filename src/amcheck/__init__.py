@@ -50,7 +50,6 @@ from .mcgame import (
     FORALL,
     ParityGame,
     Solution,
-    brute_force_solve,
     build_game_cgf,
     build_game_ef,
     check_via_game,

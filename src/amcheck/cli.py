@@ -29,6 +29,16 @@ def _verdicts(model, closure, engine: str, states, deadline=None):
     return fixpoint_verdicts(model, closure, states, deadline)
 
 
+def _timed_convert(model, formulas, minimize_families: bool, deadline=None):
+    """The one conversion that check, convert and bench run: the game frame's
+    effectivity frame over the coalitions the formulas name (every coalition
+    when formulas is None), with the seconds it took."""
+    coalitions = None if formulas is None else sorted(set().union(*map(coalitions_in, formulas)))
+    start = time.perf_counter()
+    ef = convert(model, minimize_families=minimize_families, coalitions=coalitions, deadline=deadline)
+    return ef, time.perf_counter() - start
+
+
 def _emit_stats(stats, as_csv: bool) -> None:
     if as_csv:
         writer = csv.writer(sys.stdout)
@@ -54,8 +64,7 @@ def cmd_check(args, parser) -> int:
     if args.convert:
         if not isinstance(model, Cgf):
             raise AmcError("--convert needs a game frame, this model already is an effectivity frame")
-        coalitions = sorted(coalitions_in(formula))
-        model, seconds = convert(model, minimize_families=args.minimize, coalitions=coalitions)
+        model, seconds = _timed_convert(model, [formula], args.minimize)
         stats.append(("convert", seconds))
     if args.engine.startswith("ef") and not isinstance(model, Ef):
         raise AmcError(f"engine {args.engine} needs an effectivity frame; pass --convert to translate the game frame")
@@ -84,13 +93,13 @@ def cmd_convert(args, parser) -> int:
     model = load_model(args.input)
     if not isinstance(model, Cgf):
         raise AmcError("input is not a game frame")
-    coalitions = None
+    formulas = None
     if args.coalitions is not None:
         mode, path = args.coalitions
         if mode != "from-formula":
             parser.error("--coalitions expects: from-formula <file>")
-        coalitions = sorted(coalitions_in(parse_formula(Path(path).read_text())))
-    ef, seconds = convert(model, minimize_families=args.minimize, coalitions=coalitions)
+        formulas = [parse_formula(Path(path).read_text())]
+    ef, seconds = _timed_convert(model, formulas, args.minimize)
     text = model_to_json(ef)
     if args.out:
         Path(args.out).write_text(text)
@@ -171,19 +180,25 @@ def _keep_formula(name: str, filters) -> bool:
     return filters is None or any(name.startswith(f) for f in filters)
 
 
+def _bench_pair(model, formulas):
+    """A model with the formulas a cell checks on it and their closures."""
+    return model, formulas, [build_closure(f) for f in formulas]
+
+
 def _bench_cells(args, seed: int):
-    """One cell per (parameter value); each carries its model/formula pairs."""
+    """One cell per (parameter value); each carries its (model, formulas,
+    closures) triples."""
     filters = None if args.formulas in (None, "all") else args.formulas.split(",")
     cells = []
     if args.suite == "modulo":
         for moves in _parse_range(args.moves):
             model, formulas = benchgen.gen_modulo(args.agents, moves, args.base)
-            pairs = [(model, [build_closure(f) for name, f in formulas if _keep_formula(name, filters)])]
+            pairs = [_bench_pair(model, [f for name, f in formulas if _keep_formula(name, filters)])]
             cells.append((moves, pairs))
     elif args.suite == "castle":
         for hp in _parse_range(args.hp):
             model, formulas = benchgen.gen_castle(args.castles, hp)
-            pairs = [(model, [build_closure(f) for name, f in formulas if _keep_formula(name, filters)])]
+            pairs = [_bench_pair(model, [f for name, f in formulas if _keep_formula(name, filters)])]
             cells.append((hp, pairs))
     else:
         atoms = [f"p{i}" for i in range(1, args.atoms + 1)]
@@ -193,38 +208,41 @@ def _bench_cells(args, seed: int):
             for model_seed, formula_seed in _instance_seeds(seed + size, args.instances):
                 model = benchgen.gen_random_cgf(args.states, args.agents, moves, atoms, model_seed)
                 formula = benchgen.gen_random_formula(size, args.agents, atoms, formula_seed)
-                pairs.append((model, [build_closure(formula)]))
+                pairs.append(_bench_pair(model, [formula]))
             cells.append((size, pairs))
     return cells
 
 
-def _run_cell(engine: str, pairs, reps: int, timeout: float, minimize_flag: bool):
-    """Mean check seconds over reps; a single expiry times the whole cell out."""
-    conv_total = None
-    workloads = []
-    for model, closures in pairs:
-        if engine.startswith("ef"):
-            try:
-                ef, seconds = convert(model, minimize_families=minimize_flag, deadline=Deadline(timeout))
-            except CheckTimeout:
-                return "", reps, ""
-            conv_total = (conv_total or 0.0) + seconds
-            workloads.append((ef, closures, model.initial))
-        else:
-            workloads.append((model, closures, model.initial))
-    conv_text = "" if conv_total is None else f"{conv_total:.6f}"
+def _convert_cell(pairs, timeout: float, minimize_flag: bool):
+    """Each model of a cell converted once, as check --convert would, and the
+    summed seconds; no frames when a conversion runs out of time."""
+    frames = []
+    total = 0.0
+    for model, formulas, _ in pairs:
+        try:
+            ef, seconds = _timed_convert(model, formulas, minimize_flag, Deadline(timeout))
+        except CheckTimeout:
+            return None, ""
+        frames.append(ef)
+        total += seconds
+    return frames, f"{total:.6f}"
+
+
+def _time_checks(engine: str, workloads, reps: int, timeout: float):
+    """Mean check seconds over reps and the repetitions lost; a single expiry
+    times the whole cell out."""
     times = []
     for _ in range(reps):
         deadline = Deadline(timeout)
         start = time.perf_counter()
         try:
-            for model, closures, initial in workloads:
+            for model, closures in workloads:
                 for closure in closures:
-                    _verdicts(model, closure, engine, [initial], deadline)
+                    _verdicts(model, closure, engine, [model.initial], deadline)
         except CheckTimeout:
-            return "", reps, conv_text
+            return "", reps
         times.append(time.perf_counter() - start)
-    return f"{statistics.mean(times):.6f}", 0, conv_text
+    return f"{statistics.mean(times):.6f}", 0
 
 
 def cmd_bench(args, parser) -> int:
@@ -239,13 +257,22 @@ def cmd_bench(args, parser) -> int:
         cells = _bench_cells(args, seed)
     except ValueError as exc:
         parser.error(str(exc))
-    if not all(pairs and all(closures for _, closures in pairs) for _, pairs in cells):
+    if not all(pairs and all(formulas for _, formulas, _ in pairs) for _, pairs in cells):
         parser.error("every cell must check at least one formula")
     writer = csv.writer(sys.stdout)
     writer.writerow(["parameter", "engine", "mean", "reps", "timeouts", "conv_mean"])
     for parameter, pairs in cells:
+        closures = [model_closures for _, _, model_closures in pairs]
+        # Both ef-* engines check the one frame per model converted here.
+        views = {"cgf": ([model for model, _, _ in pairs], "")}
+        if any(engine.startswith("ef") for engine in engines):
+            views["ef"] = _convert_cell(pairs, args.timeout, not args.no_minimize)
         for engine in engines:
-            mean, timeouts, conv = _run_cell(engine, pairs, args.repetitions, args.timeout, not args.no_minimize)
+            models, conv = views[engine.split("-")[0]]
+            if models is None:
+                mean, timeouts = "", args.repetitions
+            else:
+                mean, timeouts = _time_checks(engine, list(zip(models, closures)), args.repetitions, args.timeout)
             writer.writerow([parameter, engine, mean, args.repetitions, timeouts, conv])
     return 0
 

@@ -9,7 +9,6 @@ drastically.
 from __future__ import annotations
 
 import itertools
-import time
 
 from .model import Cgf, Ef, canonical_family
 
@@ -63,11 +62,9 @@ def minimize(e: Ef) -> Ef:
     return Ef(e.states, e.agents, effectivity, e.valuation, e.initial)
 
 
-def convert(g: Cgf, minimize_families: bool = False, coalitions=None, deadline=None) -> tuple[Ef, float]:
-    """Full conversion pipeline; also returns its wall-time in seconds since
-    benchmark reports account for conversion separately."""
-    start = time.perf_counter()
+def convert(g: Cgf, minimize_families: bool = False, coalitions=None, deadline=None) -> Ef:
+    """The effectivity frame a game frame induces, over the given coalitions
+    (every coalition when None), minimized on request.  Callers that report
+    how long it took time the call themselves."""
     e = induced_effectivity(g, coalitions=coalitions, deadline=deadline)
-    if minimize_families:
-        e = minimize(e)
-    return e, time.perf_counter() - start
+    return minimize(e) if minimize_families else e

@@ -242,44 +242,6 @@ def zielonka_solve(game: ParityGame) -> Solution:
     return Solution(tuple(winners), strategy)
 
 
-def brute_force_solve(game: ParityGame) -> Solution:
-    """Independent oracle for small games: the winning region for Exists as a
-    priority-indexed nested fixpoint over position sets, evaluated naively.
-    No attractors are involved, so this shares no machinery with
-    zielonka_solve."""
-    n = len(game)
-    if n > 12:
-        raise ValueError("brute-force oracle is limited to 12 positions")
-    successors = game.successors
-    owners = game.owners
-    priorities = game.priorities
-    top = max(priorities, default=0)
-    everything = frozenset(range(n))
-
-    def step(zvec: list[set[int]]) -> set[int]:
-        out = set()
-        for v in range(n):
-            if owners[v] == EXISTS:
-                ok = any(u in zvec[priorities[u]] for u in successors[v])
-            else:
-                ok = all(u in zvec[priorities[u]] for u in successors[v])
-            if ok:
-                out.add(v)
-        return out
-
-    def solve(level: int, outer: list[set[int]]) -> set[int]:
-        current = set(everything) if level % 2 == 0 else set()
-        while True:
-            new = step([current] + outer) if level == 0 else solve(level - 1, [current] + outer)
-            if new == current:
-                return current
-            current = new
-
-    win_e = solve(top, [])
-    winners = tuple(EXISTS if v in win_e else FORALL for v in range(n))
-    return Solution(winners)
-
-
 def game_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> dict[str, bool]:
     """Winner of (state, root) for each requested state, Exists meaning true."""
     if isinstance(model, Cgf):

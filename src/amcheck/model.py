@@ -328,7 +328,7 @@ def loads_model(text: str) -> Model:
             }
             model = Ef(states, agents, effectivity, valuation, initial)
             errors = validate_ef(model)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model JSON: {exc!r}") from exc
     if errors:
         raise ModelError("\n".join(errors))

@@ -12,6 +12,8 @@ from amcheck import (
     And,
     Atom,
     Bot,
+    EXISTS,
+    FORALL,
     Cgf,
     Ef,
     Enforce,
@@ -19,6 +21,8 @@ from amcheck import (
     NegAtom,
     Nu,
     Or,
+    ParityGame,
+    Solution,
     Top,
     Var,
     build_closure,
@@ -76,7 +80,7 @@ def _cgf_modal(model, w, coalition, goal, enforce: bool) -> bool:
 
 
 def _ef_modal(model, w, coalition, goal, enforce: bool) -> bool:
-    family = model.family(w, coalition)
+    family = model.effectivity[w][coalition]
     if enforce:
         return any(u <= goal for u in family)
     return all(u & goal for u in family)
@@ -87,8 +91,8 @@ def all_engine_verdicts(model: Cgf, formula) -> list[dict[str, bool]]:
     the two effectivity-frame engines on the converted frame, both with and
     without minimization."""
     closure = build_closure(formula)
-    plain, _ = convert(model)
-    minimal, _ = convert(model, minimize_families=True)
+    plain = convert(model)
+    minimal = convert(model, minimize_families=True)
     return [
         game_verdicts(model, closure),
         fixpoint_verdicts(model, closure),
@@ -99,10 +103,46 @@ def all_engine_verdicts(model: Cgf, formula) -> list[dict[str, bool]]:
     ]
 
 
+def brute_force_solve(game: ParityGame) -> Solution:
+    """Independent oracle for small games: the winning region for Exists as a
+    priority-indexed nested fixpoint over position sets, evaluated naively.
+    No attractors are involved, so this shares no machinery with
+    zielonka_solve."""
+    n = len(game)
+    if n > 12:
+        raise ValueError("brute-force oracle is limited to 12 positions")
+    successors = game.successors
+    owners = game.owners
+    priorities = game.priorities
+    top = max(priorities, default=0)
+    everything = frozenset(range(n))
+
+    def step(zvec: list[set[int]]) -> set[int]:
+        out = set()
+        for v in range(n):
+            if owners[v] == EXISTS:
+                ok = any(u in zvec[priorities[u]] for u in successors[v])
+            else:
+                ok = all(u in zvec[priorities[u]] for u in successors[v])
+            if ok:
+                out.add(v)
+        return out
+
+    def solve(level: int, outer: list[set[int]]) -> set[int]:
+        current = set(everything) if level % 2 == 0 else set()
+        while True:
+            new = step([current] + outer) if level == 0 else solve(level - 1, [current] + outer)
+            if new == current:
+                return current
+            current = new
+
+    win_e = solve(top, [])
+    winners = tuple(EXISTS if v in win_e else FORALL for v in range(n))
+    return Solution(winners)
+
+
 def random_parity_game(rng, max_positions=8, max_priority=3, max_degree=3):
     """Seeded random game for solver differential tests; dead ends included."""
-    from amcheck import EXISTS, FORALL, ParityGame
-
     n = rng.randint(1, max_positions)
     owners = tuple(rng.choice((EXISTS, FORALL)) for _ in range(n))
     priorities = tuple(rng.randint(0, max_priority) for _ in range(n))
@@ -118,8 +158,6 @@ def assert_strategy_wins(game, solution) -> None:
     """Check the positional strategy defeats every opposing behaviour: fix the
     winner's moves, then verify all remaining plays stay won (every reachable
     cycle has the right parity, every reachable dead end strands the loser)."""
-    from amcheck import EXISTS
-
     n = len(game)
     for start in range(n):
         winner = solution.winners[start]

@@ -15,7 +15,7 @@ import amcheck
 from amcheck.cli import main
 from amcheck.model import load_model, save_model
 from amcheck.benchgen import gen_modulo
-from amcheck.formula import MAX_DEPTH, parse_formula
+from amcheck.formula import MAX_DEPTH, coalitions_in, parse_formula
 
 
 def run(capsys, *argv):
@@ -418,6 +418,30 @@ class TestBench:
         assert code == 0
         rows = parse_csv(out)
         assert [r[0] for r in rows] == ["3", "5"]
+
+    def test_converts_each_model_once_over_its_formulas(self, capsys, monkeypatch):
+        calls = []
+
+        def recording_convert(model, **kwargs):
+            calls.append((model, kwargs["coalitions"]))
+            return real_convert(model, **kwargs)
+
+        real_convert = amcheck.cli.convert
+        monkeypatch.setattr(amcheck.cli, "convert", recording_convert)
+        code, out, _ = run(
+            capsys, "bench", "--suite", "modulo", "--engines", "ef-game,cgf-local,ef-local",
+            "--moves", "2..3", "--agents", "3",
+        )
+        assert code == 0
+        assert len(calls) == 2
+        for (model, coalitions), moves in zip(calls, (2, 3)):
+            expected, formulas = gen_modulo(3, moves, 10)
+            assert model.move_counts == expected.move_counts
+            assert coalitions == sorted(set().union(*(coalitions_in(f) for _, f in formulas)))
+        conv = {(r[0], r[1]): r[5] for r in parse_csv(out)}
+        for moves in ("2", "3"):
+            assert conv[moves, "ef-game"] == conv[moves, "ef-local"] != ""
+            assert conv[moves, "cgf-local"] == ""
 
     def test_timeout_cell(self, capsys):
         code, out, _ = run(

@@ -160,7 +160,7 @@ class TestOneStepEf:
         assert ("w2", root) not in out
 
     def test_minimization_invariant(self, smallgame):
-        plain, _ = convert(smallgame)
+        plain = convert(smallgame)
         small = minimize(plain)
         closure = build_closure(parse_formula("([{1,2}] q) & <{3}> (p | q)"))
         rng = random.Random(5)
@@ -270,7 +270,7 @@ class TestNestedFixpoint:
         for seed in range(12):
             model = gen_random_cgf(5, 2, 2, atoms, seed=seed)
             if frame != "cgf":
-                model, _ = convert(model, minimize_families=frame == "ef-min")
+                model = convert(model, minimize_families=frame == "ef-min")
             one_step = one_step_cgf if isinstance(model, Cgf) else one_step_ef
             random_formula = gen_random_formula(2 + seed % 9, 2, atoms, seed=seed + 500)
             for f in fixed + [random_formula]:

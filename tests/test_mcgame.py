@@ -8,14 +8,13 @@ import time
 import pytest
 
 import amcheck.formula
-from helpers import assert_strategy_wins, random_parity_game
+from helpers import assert_strategy_wins, brute_force_solve, random_parity_game
 from amcheck import build_closure, convert, gen_castle, gen_modulo, parse_formula
 from amcheck.errors import ModelError
 from amcheck.mcgame import (
     EXISTS,
     FORALL,
     ParityGame,
-    brute_force_solve,
     build_game_cgf,
     build_game_ef,
     check_via_game,
@@ -160,7 +159,7 @@ class TestLabels:
     @pytest.mark.parametrize("suite,kind", sorted(GAME_DIGESTS))
     def test_built_games_keep_their_text(self, suite, kind):
         frame, formulas = gen_castle(2, 1) if suite.startswith("castle") else gen_modulo(2, 3)
-        model = frame if kind == "cgf" else convert(frame, minimize_families=True)[0]
+        model = frame if kind == "cgf" else convert(frame, minimize_families=True)
         build = build_game_cgf if kind == "cgf" else build_game_ef
         digest = hashlib.sha256()
         for _, f in formulas:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import amcheck.model
+from amcheck.cli import main
 from amcheck.benchgen import gen_castle, gen_modulo, gen_random_cgf
 from amcheck.errors import ModelError
 from amcheck.formula import format_coalition
@@ -282,6 +283,34 @@ class TestJson:
                 '{"kind":"ef","agents":2,"states":["a"],"valuation":{},'
                 '"effectivity":{"a":{"{2,1}":[["a"]]}}}'
             )
+
+    @pytest.mark.parametrize("kind, section, value", [
+        ("cgf", "transitions", {"a": 5}),
+        ("cgf", "transitions", {"a": [1, 2]}),
+        ("cgf", "transitions", [1]),
+        ("cgf", "moves", [1]),
+        ("cgf", "valuation", [1]),
+        ("ef", "effectivity", {"a": [1]}),
+    ], ids=["table-int", "table-list", "transitions-list", "moves-list", "valuation-list", "ef-family-list"])
+    def test_rejects_wrong_shaped_section(self, tmp_path, capsys, kind, section, value):
+        obj = {"kind": kind, "agents": 1, "states": ["a"], "valuation": {}}
+        if kind == "cgf":
+            obj.update(moves={"a": [1]}, transitions={"a": {"1": "a"}})
+        else:
+            obj.update(effectivity={"a": {"{1}": [["a"]]}})
+        obj[section] = value
+        text = json.dumps(obj)
+        with pytest.raises(ModelError, match="malformed model JSON"):
+            loads_model(text)
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        formula = tmp_path / "f.amc"
+        formula.write_text("p\n")
+        engine = "cgf-game" if kind == "cgf" else "ef-game"
+        code = main(["check", "--model", str(model), "--formula", str(formula), "--engine", engine])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed model JSON")
 
     def test_invalid_model_reports_defects(self):
         with pytest.raises(ModelError, match="outcome undefined"):
