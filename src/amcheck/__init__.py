@@ -41,8 +41,7 @@ from .localfp import (
     fixpoint_extension,
     fixpoint_verdicts,
     nested_fixpoint,
-    one_step_cgf,
-    one_step_ef,
+    one_step,
     prop_step,
 )
 from .mcgame import (
@@ -50,8 +49,7 @@ from .mcgame import (
     FORALL,
     ParityGame,
     Solution,
-    build_game_cgf,
-    build_game_ef,
+    build_game,
     check_via_game,
     export_pgsolver,
     game_verdicts,

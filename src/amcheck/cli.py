@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
+import random
 import statistics
 import sys
 import time
@@ -39,15 +39,9 @@ def _timed_convert(model, formulas, minimize_families: bool, deadline=None):
     return ef, time.perf_counter() - start
 
 
-def _emit_stats(stats, as_csv: bool) -> None:
-    if as_csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["stage", "seconds"])
-        for stage, seconds in stats:
-            writer.writerow([stage, f"{seconds:.6f}"])
-    else:
-        for stage, seconds in stats:
-            print(f"{stage}_seconds={seconds:.6f}", file=sys.stderr)
+def _emit_stats(stats) -> None:
+    for stage, seconds in stats:
+        print(f"{stage}_seconds={seconds:.6f}", file=sys.stderr)
 
 
 def cmd_check(args, parser) -> int:
@@ -70,22 +64,18 @@ def cmd_check(args, parser) -> int:
         raise AmcError(f"engine {args.engine} needs an effectivity frame; pass --convert to translate the game frame")
     if args.engine.startswith("cgf") and not isinstance(model, Cgf):
         raise AmcError(f"engine {args.engine} needs a game frame")
-    if args.state is None:
-        states = list(model.states)
-    elif args.state == "initial":
+    if args.state == "initial":
         if model.initial is None:
             raise AmcError("model marks no initial state")
         states = [model.initial]
     else:
-        if args.state not in model.states:
-            raise AmcError(f"unknown state {args.state}")
-        states = [args.state]
+        states = None if args.state is None else [args.state]
     start = time.perf_counter()
     verdicts = _verdicts(model, closure, args.engine, states)
     stats.append(("check", time.perf_counter() - start))
-    for w in states:
-        print(f"{w}\t{'true' if verdicts[w] else 'false'}")
-    _emit_stats(stats, args.csv)
+    for w, holds in verdicts.items():
+        print(f"{w}\t{'true' if holds else 'false'}")
+    _emit_stats(stats)
     return 0
 
 
@@ -105,7 +95,7 @@ def cmd_convert(args, parser) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    _emit_stats([("convert", seconds)], args.csv)
+    _emit_stats([("convert", seconds)])
     return 0
 
 
@@ -140,8 +130,7 @@ def cmd_gen(args, parser) -> int:
             written = _write_suite(out_dir, f"castle-n{args.castles}-h{args.hp}", model, formulas)
         else:
             out_dir.mkdir(parents=True, exist_ok=True)
-            seed = int(os.environ.get("AMC_SEED", args.seed))
-            rng_seeds = _instance_seeds(seed, args.count)
+            rng_seeds = _instance_seeds(args.seed, args.count)
             atoms = [f"p{i}" for i in range(1, args.atoms + 1)]
             for model_seed, formula_seed in rng_seeds:
                 model = benchgen.gen_random_cgf(args.states, args.agents, args.moves, atoms, model_seed)
@@ -160,8 +149,6 @@ def cmd_gen(args, parser) -> int:
 
 
 def _instance_seeds(seed: int, count: int) -> list[tuple[int, int]]:
-    import random
-
     rng = random.Random(seed)
     return [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(count)]
 
@@ -180,35 +167,28 @@ def _keep_formula(name: str, filters) -> bool:
     return filters is None or any(name.startswith(f) for f in filters)
 
 
-def _bench_pair(model, formulas):
-    """A model with the formulas a cell checks on it and their closures."""
-    return model, formulas, [build_closure(f) for f in formulas]
-
-
-def _bench_cells(args, seed: int):
-    """One cell per (parameter value); each carries its (model, formulas,
-    closures) triples."""
+def _bench_cells(args):
+    """One cell per (parameter value); each carries its (model, formulas)
+    pairs."""
     filters = None if args.formulas in (None, "all") else args.formulas.split(",")
     cells = []
     if args.suite == "modulo":
         for moves in _parse_range(args.moves):
             model, formulas = benchgen.gen_modulo(args.agents, moves, args.base)
-            pairs = [_bench_pair(model, [f for name, f in formulas if _keep_formula(name, filters)])]
-            cells.append((moves, pairs))
+            cells.append((moves, [(model, [f for name, f in formulas if _keep_formula(name, filters)])]))
     elif args.suite == "castle":
         for hp in _parse_range(args.hp):
             model, formulas = benchgen.gen_castle(args.castles, hp)
-            pairs = [_bench_pair(model, [f for name, f in formulas if _keep_formula(name, filters)])]
-            cells.append((hp, pairs))
+            cells.append((hp, [(model, [f for name, f in formulas if _keep_formula(name, filters)])]))
     else:
         atoms = [f"p{i}" for i in range(1, args.atoms + 1)]
         moves = _parse_range(str(args.moves))[0]  # the random suite varies size, not moves
         for size in _parse_range(args.sizes):
             pairs = []
-            for model_seed, formula_seed in _instance_seeds(seed + size, args.instances):
+            for model_seed, formula_seed in _instance_seeds(args.seed + size, args.instances):
                 model = benchgen.gen_random_cgf(args.states, args.agents, moves, atoms, model_seed)
                 formula = benchgen.gen_random_formula(size, args.agents, atoms, formula_seed)
-                pairs.append(_bench_pair(model, [formula]))
+                pairs.append((model, [formula]))
             cells.append((size, pairs))
     return cells
 
@@ -218,7 +198,7 @@ def _convert_cell(pairs, timeout: float, minimize_flag: bool):
     summed seconds; no frames when a conversion runs out of time."""
     frames = []
     total = 0.0
-    for model, formulas, _ in pairs:
+    for model, formulas in pairs:
         try:
             ef, seconds = _timed_convert(model, formulas, minimize_flag, Deadline(timeout))
         except CheckTimeout:
@@ -251,20 +231,19 @@ def cmd_bench(args, parser) -> int:
             parser.error(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
     if args.repetitions < 5:
         parser.error("--repetitions must be at least 5")
-    seed = int(os.environ.get("AMC_SEED", args.seed))
     engines = args.engines.split(",")
     try:
-        cells = _bench_cells(args, seed)
+        cells = _bench_cells(args)
     except ValueError as exc:
         parser.error(str(exc))
-    if not all(pairs and all(formulas for _, formulas, _ in pairs) for _, pairs in cells):
+    if not all(pairs and all(formulas for _, formulas in pairs) for _, pairs in cells):
         parser.error("every cell must check at least one formula")
     writer = csv.writer(sys.stdout)
     writer.writerow(["parameter", "engine", "mean", "reps", "timeouts", "conv_mean"])
     for parameter, pairs in cells:
-        closures = [model_closures for _, _, model_closures in pairs]
+        closures = [[build_closure(f) for f in formulas] for _, formulas in pairs]
         # Both ef-* engines check the one frame per model converted here.
-        views = {"cgf": ([model for model, _, _ in pairs], "")}
+        views = {"cgf": ([model for model, _ in pairs], "")}
         if any(engine.startswith("ef") for engine in engines):
             views["ef"] = _convert_cell(pairs, args.timeout, not args.no_minimize)
         for engine in engines:
@@ -294,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="a state id, or 'initial' for the marked one; default all states")
     p.add_argument("--convert", action="store_true", help="translate a game frame before an ef-* engine")
     p.add_argument("--minimize", action="store_true", help="minimize families during --convert")
-    p.add_argument("--csv", action="store_true", help="stats as CSV on stdout instead of the error stream")
 
     p = sub.add_parser("convert", help="turn a game frame into its effectivity frame")
     p.add_argument("--in", dest="input", required=True)
@@ -302,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--coalitions", nargs=2, metavar=("MODE", "FILE"),
                    help="restrict to coalitions used in a formula: from-formula <file>")
-    p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("gen", help="write benchmark models and formulas")
     fam = p.add_subparsers(dest="family", required=True)
@@ -348,23 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "check": cmd_check, "convert": cmd_convert, "gen": cmd_gen, "bench": cmd_bench, "solve-game": cmd_solve_game,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args, parser)
-        if args.command == "convert":
-            return cmd_convert(args, parser)
-        if args.command == "gen":
-            return cmd_gen(args, parser)
-        if args.command == "bench":
-            return cmd_bench(args, parser)
-        return cmd_solve_game(args, parser)
-    except AmcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        return COMMANDS[args.command](args, parser)
+    except (AmcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -102,10 +102,27 @@ def _children(f: Formula) -> tuple:
     return ()
 
 
+def _subterms(f: Formula):
+    """Every subterm occurrence in preorder, left subtree first, walked on an
+    explicit stack, so a tree of any depth is safe to walk."""
+    stack = [f]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(_children(t)))
+
+
 def free_vars(f: Formula) -> frozenset[str]:
+    """Variables with an occurrence outside every binder of their name.
+    Trees deeper than MAX_DEPTH raise FormulaError."""
+    _check_depth(f)
+    return _free_vars(f)
+
+
+def _free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Var):
         return frozenset((f.name,))
-    free = frozenset().union(*map(free_vars, _children(f)))
+    free = frozenset().union(*map(_free_vars, _children(f)))
     return free - {f.var} if isinstance(f, (Mu, Nu)) else free
 
 
@@ -124,14 +141,11 @@ def _check_depth(f: Formula) -> None:
 def validate_formula(f: Formula) -> None:
     """Reject formulas nested deeper than MAX_DEPTH, and open or unclean
     ones (every variable bound at most once)."""
-    _check_depth(f)
     free = free_vars(f)
     if free:
         raise FormulaError(f"unbound variable {sorted(free)[0]}")
     seen: set[str] = set()
-    stack = [f]
-    while stack:  # preorder, left subtree first
-        t = stack.pop()
+    for t in _subterms(f):
         if isinstance(t, (Enforce, Allows)):
             if any(a < 1 for a in t.coalition):
                 raise FormulaError(f"agent ids must be positive: {t.coalition}")
@@ -141,24 +155,21 @@ def validate_formula(f: Formula) -> None:
             if t.var in seen:
                 raise FormulaError(f"variable {t.var} bound twice")
             seen.add(t.var)
-        stack.extend(reversed(_children(t)))
 
 
 def connective_count(f: Formula) -> int:
     """Number of connectives; leaves contribute nothing."""
-    children = _children(f)
-    return 1 + sum(map(connective_count, children)) if children else 0
+    return sum(1 for t in _subterms(f) if _children(t))
 
 
 def syntactic_size(f: Formula) -> int:
     """Connectives plus leaves."""
-    return 1 + sum(map(syntactic_size, _children(f)))
+    return sum(1 for _ in _subterms(f))
 
 
 def coalitions_in(f: Formula) -> set[tuple[int, ...]]:
     """All coalitions mentioned by modalities, for restricted conversion."""
-    own = {f.coalition} if isinstance(f, (Enforce, Allows)) else set()
-    return own.union(*map(coalitions_in, _children(f)))
+    return {t.coalition for t in _subterms(f) if isinstance(t, (Enforce, Allows))}
 
 
 def format_coalition(coalition: tuple[int, ...]) -> str:
@@ -211,10 +222,12 @@ MAX_DEPTH = 100
 """Deepest formula the parser accepts: no path from the root of the syntax
 tree to a leaf passes more than MAX_DEPTH nodes, where each pair of
 parentheses counts as one more level.  Deeper input raises ParseError, and
-validate_formula, build_closure and format_formula reject deeper trees built
-in code with FormulaError.  The limit keeps the recursive parser and the
-recursive passes over the tree (validation, priorities, closure building,
-formatting) well inside Python's recursion limit."""
+validate_formula, build_closure, format_formula, free_vars and
+fixpoint_priorities reject deeper trees built in code with FormulaError.  The
+limit keeps the recursive parser and the recursive passes over the tree (free
+variables, priorities, closure building, formatting) well inside Python's
+recursion limit; the counting walks and coalitions_in use no recursion and
+answer at any depth."""
 
 
 class _Parser:
@@ -374,7 +387,9 @@ def parse_formula(text: str) -> Formula:
 def fixpoint_priorities(f: Formula) -> dict[str, int]:
     """Priority per binder: the least value of the right parity (even for nu,
     odd for mu) that dominates every fixpoint subformula still mentioning the
-    binder's variable.  Cleanness makes the variable name a valid key."""
+    binder's variable.  Cleanness makes the variable name a valid key.
+    Trees deeper than MAX_DEPTH raise FormulaError."""
+    _check_depth(f)
     priorities: dict[str, int] = {}
 
     def walk(t: Formula) -> tuple[frozenset[str], list[tuple[int, frozenset[str]]]]:

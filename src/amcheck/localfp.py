@@ -18,16 +18,15 @@ sweep, and only binders read the previous level-0 value.  A level is a
 fixpoint of this sweep exactly when it is a fixpoint of the plain (Jacobi)
 step that reads every child from level 0, and the sweep is monotone, so
 iterating it from a level's extreme reaches the same extremal fixpoint in
-fewer steps.  The public ``prop_step``, ``one_step_cgf`` and ``one_step_ef``
-are the Jacobi step: sets of (state, node) pairs in and out, every child read
-from ``xvec[0]``.
+fewer steps.  The public ``prop_step`` and ``one_step`` are the Jacobi step:
+sets of (state, node) pairs in and out, every child read from ``xvec[0]``.
 """
 
 from __future__ import annotations
 
 from .errors import ModelError
 from .formula import ClosureGraph, build_closure
-from .model import Cgf, Ef
+from .model import Cgf, Ef, check_states
 
 _AND, _OR, _FIX, _ENFORCE, _ALLOWS = range(5)
 
@@ -55,11 +54,8 @@ class _Stepper:
     def __init__(self, model, closure: ClosureGraph, states, deadline=None, modal=True):
         self.bits = {w: 1 << i for i, w in enumerate(model.states)}
         self.states = tuple(states)
-        self.domain = 0
-        for w in self.states:
-            if w not in self.bits:
-                raise ModelError(f"unknown state {w}")
-            self.domain |= self.bits[w]
+        check_states(model, self.states)
+        self.domain = self.mask(self.states)
         self.size = len(closure.nodes)
         self.statics = [0] * self.size
         self.ops: list[tuple] = []
@@ -150,15 +146,10 @@ def prop_step(model, closure: ClosureGraph, states, xvec) -> set:
     return _jacobi_step(_Stepper(model, closure, states, modal=False), xvec)
 
 
-def one_step_cgf(model: Cgf, closure: ClosureGraph, states, xvec) -> set:
-    """Game-frame one-step function: the modal clauses quantify over the
-    coalition's joint moves and their completions."""
-    return _jacobi_step(_Stepper(model, closure, states), xvec)
-
-
-def one_step_ef(model: Ef, closure: ClosureGraph, states, xvec) -> set:
-    """Effectivity-frame one-step function: some listed set all inside the
-    argument (enforce), or every listed set meeting it (allows)."""
+def one_step(model, closure: ClosureGraph, states, xvec) -> set:
+    """Full one-step function: the modal clauses quantify over the model's
+    outcome groups, some group all inside the argument (enforce) or every
+    group meeting it (allows)."""
     return _jacobi_step(_Stepper(model, closure, states), xvec)
 
 
@@ -186,11 +177,12 @@ def nested_fixpoint(step, top, bottom, max_priority: int, deadline=None):
     return solve(max_priority, [])
 
 
-def _solve(model, closure: ClosureGraph, deadline) -> tuple[_Stepper, list[int]]:
+def _solve(model, closure: ClosureGraph, deadline, queried=()) -> tuple[_Stepper, list[int]]:
     """The stepper over the whole state space and the masks the tower
-    settles on."""
+    settles on; the queried states must be the model's."""
     if not isinstance(model, (Cgf, Ef)):
         raise ModelError(f"not a model: {model!r}")
+    check_states(model, queried)
     step = _Stepper(model, closure, model.states, deadline)
     size = len(closure.nodes)
     return step, nested_fixpoint(step, [step.domain] * size, [0] * size, closure.max_priority, deadline)
@@ -204,10 +196,10 @@ def fixpoint_extension(model, closure: ClosureGraph, deadline=None) -> set:
 
 
 def fixpoint_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> dict[str, bool]:
-    step, level = _solve(model, closure, deadline)
+    step, level = _solve(model, closure, deadline, states or ())
     root = level[closure.root]
     targets = model.states if states is None else states
-    return {w: bool(root & step.bits.get(w, 0)) for w in targets}
+    return {w: bool(root & step.bits[w]) for w in targets}
 
 
 def check_via_fixpoint(model, formula, state: str, deadline=None) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ModelError
 from .formula import ClosureGraph, build_closure
-from .model import Cgf, Ef
+from .model import Cgf, Ef, check_states
 
 EXISTS = "Exists"
 FORALL = "Forall"
@@ -80,6 +80,8 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
     """
     if states is None:
         states = list(model.states)
+    else:
+        check_states(model, states)
     index: dict = {}
     keys: list = []
     owners: list[str] = []
@@ -143,7 +145,8 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
 
 
 # game_verdicts looks the builder up under one name per frame kind, so that
-# perfbench/tracer.py can wrap the build step; both names are the one builder.
+# perfbench/tracer.py can wrap the build step; both names are the one builder,
+# and the package exports it only as build_game.
 build_game_cgf = build_game_ef = build_game
 
 

@@ -40,11 +40,10 @@ class Cgf:
         return self.valuation.get(name, frozenset())
 
     def moves(self, state: str, agent: int) -> int:
-        if state not in self.move_counts:
-            raise ModelError(f"unknown state {state}")
+        counts = _state_entry(self.move_counts, state)
         if not 1 <= agent <= self.agents:
             raise ModelError(f"unknown agent {agent}")
-        return self.move_counts[state][agent - 1]
+        return counts[agent - 1]
 
     def grand_moves(self, state: str):
         counts = self.move_counts[state]
@@ -59,11 +58,10 @@ class Cgf:
         The joint moves and their completions are cached per move-count
         vector, so the result does not depend on the table's own order.
         """
-        if state not in self.move_counts:
-            raise ModelError(f"unknown state {state}")
+        counts = _state_entry(self.move_counts, state)
         members = _members(coalition, self.agents)
         lookup = self.transitions[state].__getitem__
-        joint_moves = _joint_moves(self.move_counts[state], members)
+        joint_moves = _joint_moves(counts, members)
         return [(joint, list(map(lookup, grands))) for joint, grands in joint_moves]
 
 
@@ -83,9 +81,7 @@ class Ef:
     def family(self, state: str, coalition: tuple[int, ...]) -> tuple[frozenset[str], ...]:
         """Effectivity sets for a coalition; missing entries are an error
         because sparse frames only answer for the coalitions they list."""
-        if state not in self.effectivity:
-            raise ModelError(f"unknown state {state}")
-        per_state = self.effectivity[state]
+        per_state = _state_entry(self.effectivity, state)
         if coalition not in per_state:
             raise ModelError(
                 f"no effectivity entry for coalition {format_coalition(coalition)} at state {state}"
@@ -100,6 +96,22 @@ class Ef:
 
 
 Model = Cgf | Ef
+
+
+def _state_entry(table: dict, state: str):
+    """A per-state table's entry; the one place an unknown state is refused."""
+    try:
+        return table[state]
+    except KeyError:
+        raise ModelError(f"unknown state {state}") from None
+
+
+def check_states(model: Model, states) -> None:
+    """Raise ModelError naming the first of the states the model lacks; the
+    engines check every queried state here before they start."""
+    known = dict.fromkeys(model.states)
+    for w in states:
+        _state_entry(known, w)
 
 
 def _members(coalition, agents: int) -> tuple[int, ...]:
@@ -125,9 +137,7 @@ def _joint_moves(counts: tuple[int, ...], members: tuple[int, ...]):
 
 
 def outcome(g: Cgf, state: str, grand: tuple[int, ...]) -> str:
-    if state not in g.transitions:
-        raise ModelError(f"unknown state {state}")
-    table = g.transitions[state]
+    table = _state_entry(g.transitions, state)
     if grand not in table:
         raise ModelError(
             f"inadmissible grand move {format_grand(grand)} at state {state}"
@@ -286,6 +296,14 @@ def _parse_coalition_key(key: str, where: str) -> tuple[int, ...]:
     return agents
 
 
+def _listed(value) -> list:
+    """A JSON array as it is; a string or any other value raises TypeError,
+    so that no string is read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return value
+
+
 def loads_model(text: str) -> Model:
     """Parse a model from JSON text and validate it."""
     try:
@@ -296,10 +314,10 @@ def loads_model(text: str) -> Model:
         raise ModelError('model JSON needs "kind": "cgf" or "ef"')
     kind = data["kind"]
     try:
-        states = tuple(str(w) for w in data["states"])
+        states = tuple(str(w) for w in _listed(data["states"]))
         agents = int(data["agents"])
         valuation = {
-            str(atom): frozenset(str(w) for w in holds)
+            str(atom): frozenset(str(w) for w in _listed(holds))
             for atom, holds in data.get("valuation", {}).items()
         }
         initial = data.get("initial")
@@ -307,7 +325,7 @@ def loads_model(text: str) -> Model:
             initial = str(initial)
         if kind == "cgf":
             move_counts = {
-                str(w): tuple(int(c) for c in counts)
+                str(w): tuple(int(c) for c in _listed(counts))
                 for w, counts in data["moves"].items()
             }
             transitions = {
@@ -320,7 +338,7 @@ def loads_model(text: str) -> Model:
             effectivity = {
                 str(w): {
                     _parse_coalition_key(k, f"at state {w}"): canonical_family(
-                        frozenset(str(v) for v in u) for u in family
+                        frozenset(str(v) for v in _listed(u)) for u in _listed(family)
                     )
                     for k, family in per_state.items()
                 }

@@ -7,6 +7,10 @@ code with either checking engine, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+from pathlib import Path
+
 from amcheck import (
     Allows,
     And,
@@ -30,6 +34,8 @@ from amcheck import (
     fixpoint_verdicts,
     game_verdicts,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def naive_extension(model, f, env=None) -> frozenset[str]:
@@ -154,52 +160,19 @@ def random_parity_game(rng, max_positions=8, max_priority=3, max_degree=3):
     return ParityGame(owners, priorities, tuple(successors), labels)
 
 
-def assert_strategy_wins(game, solution) -> None:
-    """Check the positional strategy defeats every opposing behaviour: fix the
-    winner's moves, then verify all remaining plays stay won (every reachable
-    cycle has the right parity, every reachable dead end strands the loser)."""
-    n = len(game)
-    for start in range(n):
-        winner = solution.winners[start]
-        reachable = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            if game.owners[v] == winner:
-                if not game.successors[v]:
-                    raise AssertionError(f"winner {winner} is stuck at its own position {v}")
-                moves = (solution.strategy[v],)
-            else:
-                moves = game.successors[v]
-                if not moves:
-                    continue  # opponent stuck: play ends, winner wins
-            for u in moves:
-                if u not in reachable:
-                    reachable.add(u)
-                    frontier.append(u)
-        sub = {
-            v: ((solution.strategy[v],) if game.owners[v] == winner else game.successors[v])
-            for v in reachable
-        }
-        _check_cycles(game, sub, winner == EXISTS)
+@functools.cache
+def load_perfbench(name: str):
+    """A module of perfbench/, which is not a package, loaded by its path
+    once per process."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _check_cycles(game, sub, exists_wins: bool) -> None:
-    nodes = sorted(sub)
-    for cycle in _simple_cycles(sub, nodes):
-        top = max(game.priorities[v] for v in cycle)
-        if (top % 2 == 0) != exists_wins:
-            raise AssertionError(f"cycle {cycle} has losing top priority {top}")
-
-
-def _simple_cycles(sub, nodes):
-    # Tarjan-free brute force is fine at oracle scale: walk every simple path.
-    for start in nodes:
-        stack = [(start, [start])]
-        while stack:
-            v, path = stack.pop()
-            for u in sub[v]:
-                if u == start:
-                    yield path
-                elif u not in path and u > start:
-                    stack.append((u, path + [u]))
+def strategy_defects(game, solution) -> list[str]:
+    """What the certificate check finds wrong with a solution: winners and a
+    positional strategy that must defeat every opposing behaviour.  It shares
+    no code with zielonka_solve; an empty list means certified."""
+    certify = load_perfbench("certificate").certify
+    return certify(game.owners, game.priorities, game.successors, solution.winners, solution.strategy)

@@ -18,7 +18,7 @@ import pytest
 
 from amcheck import (
     build_closure,
-    build_game_cgf,
+    build_game,
     convert,
     fixpoint_verdicts,
     gen_castle,
@@ -28,8 +28,7 @@ from amcheck import (
     game_verdicts,
     induced_effectivity,
     minimize,
-    one_step_cgf,
-    one_step_ef,
+    one_step,
     parse_formula,
     prop_step,
     validate_cgf,
@@ -137,8 +136,8 @@ def test_4_step_monotonicity(smallgame, smallgame_min_ef):
         rng = random.Random(515)
         steps = (
             lambda vec: prop_step(smallgame, closure, smallgame.states, vec),
-            lambda vec: one_step_cgf(smallgame, closure, smallgame.states, vec),
-            lambda vec: one_step_ef(smallgame_min_ef, closure, smallgame_min_ef.states, vec),
+            lambda vec: one_step(smallgame, closure, smallgame.states, vec),
+            lambda vec: one_step(smallgame_min_ef, closure, smallgame_min_ef.states, vec),
         )
         for step in steps:
             for _ in range(1000):
@@ -155,7 +154,7 @@ def test_5_game_size_bound(differential_pairs):
     with criterion(5, "game-size-bound", 60.0):
         for model, formula in differential_pairs:
             closure = build_closure(formula)
-            game, _ = build_game_cgf(model, closure)
+            game, _ = build_game(model, closure)
             grand = max(math.prod(model.move_counts[w]) for w in model.states)
             assert len(game) <= len(model.states) * len(closure) * (grand + 1)
 

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import amcheck
-from amcheck.cli import main
+from amcheck.cli import build_parser, main
 from amcheck.model import load_model, save_model
 from amcheck.benchgen import gen_modulo
 from amcheck.formula import MAX_DEPTH, coalitions_in, parse_formula
@@ -157,17 +159,6 @@ class TestCheck:
         assert "check_seconds=" in err
         assert "seconds" not in out
 
-    def test_stats_as_csv(self, capsys, tmp_path, smallgame_path):
-        formula = write_formula(tmp_path, "p")
-        _, out, err = run(
-            capsys, "check", "--model", str(smallgame_path), "--formula", formula,
-            "--engine", "cgf-local", "--csv",
-        )
-        lines = out.splitlines()
-        assert lines[:3] == ["w1\tfalse", "w2\ttrue", "w3\tfalse"]
-        assert lines[3] == "stage,seconds"
-        assert err == ""
-
     def test_missing_model_file(self, capsys, tmp_path):
         formula = write_formula(tmp_path, "p")
         code, _, err = run(
@@ -292,16 +283,14 @@ class TestGen:
         assert sum(p.endswith(".cgf.json") for p in paths) == 2
         assert sum(p.endswith(".amc") for p in paths) == 2
 
-    def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
+    def test_seed_flag(self, capsys, tmp_path):
         def contents(directory):
             return sorted(p.name for p in directory.iterdir())
 
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         run(capsys, "gen", "random", "--seed", "7", "--out-dir", str(a))
-        monkeypatch.setenv("AMC_SEED", "7")
-        run(capsys, "gen", "random", "--seed", "0", "--out-dir", str(b))
-        monkeypatch.setenv("AMC_SEED", "8")
-        run(capsys, "gen", "random", "--seed", "0", "--out-dir", str(c))
+        run(capsys, "gen", "random", "--seed", "7", "--out-dir", str(b))
+        run(capsys, "gen", "random", "--seed", "8", "--out-dir", str(c))
         assert contents(a) == contents(b)
         assert contents(a) != contents(c)
 
@@ -485,3 +474,36 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error:" in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _options(parser) -> set[str]:
+    """Every option string of the parser and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _options(sub)
+    return options
+
+
+class TestReadme:
+    """The usage the README documents stays what the parser accepts."""
+
+    def test_commands_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+        commands = [line for block in blocks for line in block.splitlines() if line.startswith("amc ")]
+        assert commands
+        for line in commands:
+            try:
+                build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
+    def test_flags_exist(self):
+        flags = set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text()))
+        assert flags
+        assert flags - _options(build_parser()) == set()

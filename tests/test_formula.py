@@ -179,21 +179,37 @@ def _binder_over_modalities(n):
 
 class TestInCodeDepth:
     """Trees built in code, which never pass the parser, meet its depth limit
-    in every recursive walk instead of exhausting Python's recursion."""
+    in every recursive walk instead of exhausting Python's recursion; the
+    walks that do not recurse answer at any depth."""
 
     @pytest.mark.parametrize(
         "shape", [_left_and_chain, _right_or_chain, _binder_over_modalities],
         ids=["and-chain", "or-chain", "binder"],
     )
     @pytest.mark.parametrize(
-        "walk", [validate_formula, format_formula, build_closure],
-        ids=["validate", "format", "closure"],
+        "walk", [validate_formula, format_formula, build_closure, free_vars, fixpoint_priorities],
+        ids=["validate", "format", "closure", "free-vars", "priorities"],
     )
     def test_depth_limit(self, walk, shape):
         walk(shape(MAX_DEPTH))
         for depth in (MAX_DEPTH + 1, 5000):
             with pytest.raises(FormulaError, match=f"formula nests deeper than {MAX_DEPTH} levels"):
                 walk(shape(depth))
+
+    # (connective_count, syntactic_size, coalitions_in) of each shape at depth n
+    @pytest.mark.parametrize(
+        "shape,expected",
+        [
+            (_left_and_chain, lambda n: (n - 1, 2 * n - 1, set())),
+            (_right_or_chain, lambda n: (n - 1, 2 * n - 1, set())),
+            (_binder_over_modalities, lambda n: (n - 1, n, {(1,)})),
+        ],
+        ids=["and-chain", "or-chain", "binder"],
+    )
+    def test_counting_walks_any_depth(self, shape, expected):
+        for depth in (MAX_DEPTH, MAX_DEPTH + 1, 5000):
+            f = shape(depth)
+            assert (connective_count(f), syntactic_size(f), coalitions_in(f)) == expected(depth)
 
 
 class TestFormat:

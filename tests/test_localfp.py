@@ -6,17 +6,17 @@ import random
 import pytest
 
 from helpers import naive_extension
-from amcheck import Cgf, build_closure, parse_formula
+from amcheck import build_closure, parse_formula
 from amcheck.benchgen import gen_modulo, gen_random_cgf, gen_random_formula
 from amcheck.convert import convert, minimize
-from amcheck.errors import CheckTimeout
+from amcheck.errors import CheckTimeout, ModelError
+from amcheck.mcgame import game_verdicts
 from amcheck.localfp import (
     check_via_fixpoint,
     fixpoint_extension,
     fixpoint_verdicts,
     nested_fixpoint,
-    one_step_cgf,
-    one_step_ef,
+    one_step,
     prop_step,
 )
 from amcheck.timing import Deadline
@@ -82,7 +82,7 @@ class TestOneStepCgf:
         q = node_id(closure, "atom", atom="q")
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
-        out = one_step_cgf(smallgame, closure, smallgame.states, vec)
+        out = one_step(smallgame, closure, smallgame.states, vec)
         # agents 1 and 3 playing (2,2) send w1 to w3 regardless of agent 2
         assert ("w1", root) in out
 
@@ -92,11 +92,11 @@ class TestOneStepCgf:
         q = node_id(closure, "atom", atom="q")
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
-        out = one_step_cgf(smallgame, closure, smallgame.states, vec)
+        out = one_step(smallgame, closure, smallgame.states, vec)
         # alone, agent 1 only bounds the outcome inside {w2,w3}
         assert ("w1", root) not in out
         vec[0] = {("w2", q), ("w3", q)}
-        out = one_step_cgf(smallgame, closure, smallgame.states, vec)
+        out = one_step(smallgame, closure, smallgame.states, vec)
         assert ("w1", root) in out
 
     def test_grand_coalition_pins_outcomes(self, smallgame):
@@ -105,7 +105,7 @@ class TestOneStepCgf:
         q = node_id(closure, "atom", atom="q")
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
-        out = one_step_cgf(smallgame, closure, smallgame.states, vec)
+        out = one_step(smallgame, closure, smallgame.states, vec)
         assert ("w1", root) in out
         assert ("w2", root) not in out
 
@@ -116,10 +116,10 @@ class TestOneStepCgf:
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
         # whatever agent 2 plays, agents 1 and 3 can complete into w3
-        out = one_step_cgf(smallgame, closure, smallgame.states, vec)
+        out = one_step(smallgame, closure, smallgame.states, vec)
         assert ("w1", root) in out
         vec[0] = set()
-        out = one_step_cgf(smallgame, closure, smallgame.states, vec)
+        out = one_step(smallgame, closure, smallgame.states, vec)
         assert ("w1", root) not in out
 
     def test_subset_reads_states_outside_it(self, smallgame):
@@ -131,10 +131,10 @@ class TestOneStepCgf:
         q = node_id(closure, "atom", atom="q")
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
-        out = one_step_cgf(smallgame, closure, ["w1"], vec)
+        out = one_step(smallgame, closure, ["w1"], vec)
         assert out == {("w1", enforce), ("w1", allows)}
         vec[0] = {("w1", q), ("w2", enforce), ("w2", allows)}
-        assert one_step_cgf(smallgame, closure, ["w1"], vec) == set()
+        assert one_step(smallgame, closure, ["w1"], vec) == set()
 
 
 class TestOneStepEf:
@@ -144,7 +144,7 @@ class TestOneStepEf:
         q = node_id(closure, "atom", atom="q")
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
-        out = one_step_ef(smallgame_min_ef, closure, smallgame_min_ef.states, vec)
+        out = one_step(smallgame_min_ef, closure, smallgame_min_ef.states, vec)
         assert ("w1", root) in out
         assert ("w2", root) not in out
 
@@ -154,7 +154,7 @@ class TestOneStepEf:
         q = node_id(closure, "atom", atom="q")
         vec = empty_vec(closure)
         vec[0] = {("w3", q)}
-        out = one_step_ef(smallgame_min_ef, closure, smallgame_min_ef.states, vec)
+        out = one_step(smallgame_min_ef, closure, smallgame_min_ef.states, vec)
         # w1's only family member {w2,w3} meets {w3}
         assert ("w1", root) in out
         assert ("w2", root) not in out
@@ -168,7 +168,7 @@ class TestOneStepEf:
         for _ in range(30):
             vec = empty_vec(closure)
             vec[0] = {pair for pair in universe if rng.random() < 0.4}
-            assert one_step_ef(plain, closure, plain.states, vec) == one_step_ef(
+            assert one_step(plain, closure, plain.states, vec) == one_step(
                 small, closure, small.states, vec
             )
 
@@ -271,7 +271,6 @@ class TestNestedFixpoint:
             model = gen_random_cgf(5, 2, 2, atoms, seed=seed)
             if frame != "cgf":
                 model = convert(model, minimize_families=frame == "ef-min")
-            one_step = one_step_cgf if isinstance(model, Cgf) else one_step_ef
             random_formula = gen_random_formula(2 + seed % 9, 2, atoms, seed=seed + 500)
             for f in fixed + [random_formula]:
                 closure = build_closure(f)
@@ -310,12 +309,10 @@ class TestMonotonicity:
             assert prop_step(smallgame, closure, smallgame.states, lo_vec) <= prop_step(
                 smallgame, closure, smallgame.states, hi_vec
             )
-            assert one_step_cgf(smallgame, closure, smallgame.states, lo_vec) <= one_step_cgf(
-                smallgame, closure, smallgame.states, hi_vec
-            )
-            assert one_step_ef(
-                smallgame_min_ef, closure, smallgame_min_ef.states, lo_vec
-            ) <= one_step_ef(smallgame_min_ef, closure, smallgame_min_ef.states, hi_vec)
+            for model in (smallgame, smallgame_min_ef):
+                assert one_step(model, closure, model.states, lo_vec) <= one_step(
+                    model, closure, model.states, hi_vec
+                )
 
 
 class TestDeadline:
@@ -328,3 +325,16 @@ class TestDeadline:
         closure = build_closure(parse_formula("mu X. p | [{1,3}] X"))
         with_deadline = fixpoint_verdicts(smallgame, closure, deadline=Deadline(60.0))
         assert with_deadline == fixpoint_verdicts(smallgame, closure)
+
+
+@pytest.mark.parametrize("frame", ["cgf", "ef"])
+@pytest.mark.parametrize("verdicts", [game_verdicts, fixpoint_verdicts], ids=["game", "local"])
+@pytest.mark.parametrize("text", ["p", "[{1}] p"], ids=["atom", "modal"])
+def test_unknown_state_rejected_by_every_engine(smallgame, smallgame_min_ef, frame, verdicts, text):
+    # a queried state outside the model is an error before any checking, also
+    # for a formula whose game never reaches a modal position
+    model = smallgame if frame == "cgf" else smallgame_min_ef
+    closure = build_closure(parse_formula(text))
+    for states in (["zzz"], ["w1", "zzz"]):
+        with pytest.raises(ModelError, match="unknown state zzz"):
+            verdicts(model, closure, states)

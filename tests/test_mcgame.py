@@ -8,15 +8,14 @@ import time
 import pytest
 
 import amcheck.formula
-from helpers import assert_strategy_wins, brute_force_solve, random_parity_game
+from helpers import brute_force_solve, random_parity_game, strategy_defects
 from amcheck import build_closure, convert, gen_castle, gen_modulo, parse_formula
 from amcheck.errors import ModelError
 from amcheck.mcgame import (
     EXISTS,
     FORALL,
     ParityGame,
-    build_game_cgf,
-    build_game_ef,
+    build_game,
     check_via_game,
     export_pgsolver,
     game_verdicts,
@@ -33,7 +32,7 @@ def make_game(rows):
 class TestBuildCgf:
     def test_enforce_structure(self, smallgame):
         closure = build_closure(parse_formula("[{1,3}] q"))
-        game, roots = build_game_cgf(smallgame, closure, states=["w1"])
+        game, roots = build_game(smallgame, closure, states=["w1"])
         root = roots["w1"]
         assert game.owners[root] == EXISTS
         assert game.priorities[root] == 0
@@ -43,7 +42,7 @@ class TestBuildCgf:
 
     def test_move_positions_dedup_targets(self, smallgame):
         closure = build_closure(parse_formula("[{1,3}] q"))
-        game, roots = build_game_cgf(smallgame, closure, states=["w1"])
+        game, roots = build_game(smallgame, closure, states=["w1"])
         by_label = {game.labels[v]: v for v in range(len(game))}
         m11 = by_label["w1,[{1,3}] q,(1,1)"]
         m12 = by_label["w1,[{1,3}] q,(1,2)"]
@@ -54,7 +53,7 @@ class TestBuildCgf:
 
     def test_atom_positions(self, smallgame):
         closure = build_closure(parse_formula("[{1,3}] q"))
-        game, _ = build_game_cgf(smallgame, closure)
+        game, _ = build_game(smallgame, closure)
         by_label = {game.labels[v]: v for v in range(len(game))}
         holds = by_label["w3,q"]
         fails = by_label["w2,q"]
@@ -65,7 +64,7 @@ class TestBuildCgf:
 
     def test_negatom_positions(self, smallgame):
         closure = build_closure(parse_formula("~q"))
-        game, roots = build_game_cgf(smallgame, closure)
+        game, roots = build_game(smallgame, closure)
         v3 = roots["w3"]
         v2 = roots["w2"]
         assert game.owners[v3] == FORALL
@@ -75,7 +74,7 @@ class TestBuildCgf:
 
     def test_allows_flips_owners(self, smallgame):
         closure = build_closure(parse_formula("<{1,3}> q"))
-        game, roots = build_game_cgf(smallgame, closure, states=["w1"])
+        game, roots = build_game(smallgame, closure, states=["w1"])
         root = roots["w1"]
         assert game.owners[root] == FORALL
         move = game.successors[root][0]
@@ -83,13 +82,13 @@ class TestBuildCgf:
 
     def test_fixpoint_priority_on_binder_position(self, smallgame):
         closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
-        game, roots = build_game_cgf(smallgame, closure, states=["w1"])
+        game, roots = build_game(smallgame, closure, states=["w1"])
         assert game.priorities[roots["w1"]] == 1
         assert game.owners[roots["w1"]] == EXISTS
 
     def test_size_bound(self, smallgame):
         closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
-        game, _ = build_game_cgf(smallgame, closure)
+        game, _ = build_game(smallgame, closure)
         assert len(game) <= 3 * len(closure) * (8 + 1)
 
     def test_verdicts(self, smallgame):
@@ -108,7 +107,7 @@ class TestBuildCgf:
 class TestBuildEf:
     def test_enforce_branches_on_family(self, smallgame_min_ef):
         closure = build_closure(parse_formula("[{1,3}] q"))
-        game, roots = build_game_ef(smallgame_min_ef, closure, states=["w1"])
+        game, roots = build_game(smallgame_min_ef, closure, states=["w1"])
         root = roots["w1"]
         # minimized family at w1 for {1,3} is {{w2},{w3}}
         assert len(game.successors[root]) == 2
@@ -124,7 +123,7 @@ class TestBuildEf:
 
     def test_size_bound(self, smallgame_min_ef):
         closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
-        game, _ = build_game_ef(smallgame_min_ef, closure)
+        game, _ = build_game(smallgame_min_ef, closure)
         assert len(game) <= 3 * len(closure) * (2**3 + 1)
 
 
@@ -150,8 +149,8 @@ class TestLabels:
 
         monkeypatch.setattr(amcheck.formula, "format_formula", counting)
         closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
-        game, roots = build_game_cgf(smallgame, closure)
-        build_game_ef(smallgame_min_ef, closure)
+        game, roots = build_game(smallgame, closure)
+        build_game(smallgame_min_ef, closure)
         assert rendered == []
         assert game.labels[roots["w1"]] == "w1,mu X. (q | [{1,3}] X)"
         assert rendered
@@ -160,17 +159,16 @@ class TestLabels:
     def test_built_games_keep_their_text(self, suite, kind):
         frame, formulas = gen_castle(2, 1) if suite.startswith("castle") else gen_modulo(2, 3)
         model = frame if kind == "cgf" else convert(frame, minimize_families=True)
-        build = build_game_cgf if kind == "cgf" else build_game_ef
         digest = hashlib.sha256()
         for _, f in formulas:
-            digest.update(export_pgsolver(build(model, build_closure(f))[0]).encode())
+            digest.update(export_pgsolver(build_game(model, build_closure(f))[0]).encode())
         assert digest.hexdigest() == GAME_DIGESTS[suite, kind]
 
     def test_round_trip_gives_back_built_labels(self, smallgame, smallgame_min_ef):
         closure = build_closure(parse_formula("mu X. q | [{1,3}] X"))
         for model in (smallgame, smallgame_min_ef):
-            game, _ = build_game_cgf(model, closure)
-            assert build_game_cgf(model, closure)[0] == game
+            game, _ = build_game(model, closure)
+            assert build_game(model, closure)[0] == game
             imported, _ = import_pgsolver(export_pgsolver(game))
             assert len(game.labels) == len(game)
             assert list(imported.labels) == list(game.labels)
@@ -239,7 +237,7 @@ class TestZielonka:
             game = random_parity_game(rng, max_positions=8, max_priority=3)
             sol = zielonka_solve(game)
             assert sol.winners == brute_force_solve(game).winners
-            assert_strategy_wins(game, sol)
+            assert strategy_defects(game, sol) == []
 
     def test_differential_larger_games(self):
         # up to 12 positions and 8 priorities: in 26 of these 150 games some
@@ -249,7 +247,7 @@ class TestZielonka:
             game = random_parity_game(rng, max_positions=12, max_priority=7)
             sol = zielonka_solve(game)
             assert sol.winners == brute_force_solve(game).winners
-            assert_strategy_wins(game, sol)
+            assert strategy_defects(game, sol) == []
 
     def test_many_priorities_keep_recursion_limit(self):
         # position v has priority v and may stay or step down to v - 1, so
@@ -264,7 +262,41 @@ class TestZielonka:
         assert sys.getrecursionlimit() == limit
         assert sol.winners == (EXISTS,) * n
         assert all(sol.strategy[v] == v - (v % 2) for v in range(n))
-        assert_strategy_wins(game, sol)
+        assert strategy_defects(game, sol) == []
+
+    def test_strategies_certified_past_oracle_size(self):
+        # far past the brute-force oracle's 12 positions, the certificate
+        # check alone vouches for winners and strategy together
+        rng = random.Random(300)
+        for _ in range(100):
+            game = random_parity_game(rng, max_positions=300, max_priority=9)
+            assert strategy_defects(game, zielonka_solve(game)) == []
+
+    @pytest.mark.parametrize(
+        "corrupt,defect",
+        [
+            ({0: 2}, "Exists loses a cycle with top priority 1 through 2"),
+            ({0: 3}, "play leaves the region of Exists along 0->3"),
+            ({0: 0}, "Exists has no legal strategy move at its position 0"),
+        ],
+        ids=["losing-cycle", "leaves-region", "illegal-move"],
+    )
+    def test_corrupted_strategy_rejected(self, corrupt, defect):
+        # Exists wins 0, 1 and 2 by cycling 0->1 (top priority 2); 0->2
+        # closes a cycle of top priority 1, and Forall wins 3
+        game = make_game(
+            [
+                (EXISTS, 0, (1, 2, 3), "0"),
+                (EXISTS, 2, (0,), "1"),
+                (EXISTS, 1, (0,), "2"),
+                (EXISTS, 1, (3,), "3"),
+            ]
+        )
+        sol = zielonka_solve(game)
+        assert sol.winners == (EXISTS, EXISTS, EXISTS, FORALL)
+        assert strategy_defects(game, sol) == []
+        sol.strategy.update(corrupt)
+        assert strategy_defects(game, sol) == [defect]
 
     def test_brute_force_size_guard(self):
         game = make_game([(EXISTS, 0, (v,), f"v{v}") for v in range(13)])

@@ -291,7 +291,15 @@ class TestJson:
         ("cgf", "moves", [1]),
         ("cgf", "valuation", [1]),
         ("ef", "effectivity", {"a": [1]}),
-    ], ids=["table-int", "table-list", "transitions-list", "moves-list", "valuation-list", "ef-family-list"])
+        ("cgf", "states", "a"),
+        ("cgf", "valuation", {"p": "a"}),
+        ("cgf", "moves", {"a": "1"}),
+        ("ef", "effectivity", {"a": {"{1}": "a"}}),
+        ("ef", "effectivity", {"a": {"{1}": ["a"]}}),
+    ], ids=[
+        "table-int", "table-list", "transitions-list", "moves-list", "valuation-list", "ef-family-list",
+        "states-string", "atom-string", "counts-string", "family-string", "set-string",
+    ])
     def test_rejects_wrong_shaped_section(self, tmp_path, capsys, kind, section, value):
         obj = {"kind": kind, "agents": 1, "states": ["a"], "valuation": {}}
         if kind == "cgf":

@@ -1,26 +1,15 @@
 """perfbench's tracer wraps lookup sites in amcheck from outside the package;
 every site must still fire, or its per-layer metric reads zero unnoticed."""
 
-import importlib.util
-from pathlib import Path
-
 from amcheck.cli import main
 from amcheck.benchgen import gen_castle
 from amcheck.formula import format_formula
 from amcheck.model import save_model
-
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_perfbench
 
 
 def test_every_wrapped_site_fires(tmp_path, capsys):
-    tracer_module = _load_tracer()
+    tracer_module = load_perfbench("tracer")
     model, formulas = gen_castle(2, 1)
     model_path = tmp_path / "castle.cgf.json"
     save_model(model, model_path)
