@@ -37,7 +37,6 @@ from .formula import (
     validate_formula,
 )
 from .localfp import (
-    check_via_fixpoint,
     fixpoint_extension,
     fixpoint_verdicts,
     nested_fixpoint,
@@ -50,7 +49,6 @@ from .mcgame import (
     ParityGame,
     Solution,
     build_game,
-    check_via_game,
     export_pgsolver,
     game_verdicts,
     import_pgsolver,
@@ -65,7 +63,6 @@ from .model import (
     load_model,
     loads_model,
     model_to_json,
-    outcome,
     save_model,
     validate_cgf,
     validate_ef,

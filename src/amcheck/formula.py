@@ -444,13 +444,6 @@ class ClosureGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def unfold(self, node_id: int) -> int:
-        """Body of a fixpoint node; unfolding re-enters through the binder."""
-        node = self.nodes[node_id]
-        if node.kind not in ("mu", "nu"):
-            raise FormulaError(f"node {node_id} ({node.label}) is not a fixpoint")
-        return node.children[0]
-
 
 def build_closure(f: Formula) -> ClosureGraph:
     validate_formula(f)

@@ -25,7 +25,7 @@ sets of (state, node) pairs in and out, every child read from ``xvec[0]``.
 from __future__ import annotations
 
 from .errors import ModelError
-from .formula import ClosureGraph, build_closure
+from .formula import ClosureGraph
 from .model import Cgf, Ef, check_states
 
 _AND, _OR, _FIX, _ENFORCE, _ALLOWS = range(5)
@@ -200,8 +200,3 @@ def fixpoint_verdicts(model, closure: ClosureGraph, states=None, deadline=None) 
     root = level[closure.root]
     targets = model.states if states is None else states
     return {w: bool(root & step.bits[w]) for w in targets}
-
-
-def check_via_fixpoint(model, formula, state: str, deadline=None) -> bool:
-    closure = formula if isinstance(formula, ClosureGraph) else build_closure(formula)
-    return fixpoint_verdicts(model, closure, [state], deadline)[state]

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ModelError
-from .formula import ClosureGraph, build_closure
+from .formula import ClosureGraph
 from .model import Cgf, Ef, check_states
 
 EXISTS = "Exists"
@@ -176,7 +176,7 @@ def _attract(alive, targets, player, successors, predecessors, owners, strategy)
     return attracted
 
 
-def zielonka_solve(game: ParityGame) -> Solution:
+def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
     """Zielonka's attractor decomposition in its loop form.
 
     Positions where the owner is stuck are handed to the opponent up front
@@ -188,7 +188,8 @@ def zielonka_solve(game: ParityGame) -> Solution:
     Winners and moves go into one list and one table, where a larger
     subgame overwrites what a nested one wrote.  Only the first solve nests,
     once per distinct priority, and `solve` yields it to an explicit stack,
-    so the Python call depth does not grow with the game.
+    so the Python call depth does not grow with the game.  A deadline is
+    polled once per pass of that loop.
     """
     n = len(game)
     successors = game.successors
@@ -216,6 +217,8 @@ def zielonka_solve(game: ParityGame) -> Solution:
 
     def solve(sub: set[int]):
         while sub:
+            if deadline is not None:
+                deadline.check()
             top = max(priorities[v] for v in sub)
             player = EXISTS if top % 2 == 0 else FORALL
             opponent = FORALL if player == EXISTS else EXISTS
@@ -253,13 +256,8 @@ def game_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> d
         game, roots = build_game_ef(model, closure, states, deadline)
     else:
         raise ModelError(f"not a model: {model!r}")
-    solution = zielonka_solve(game)
+    solution = zielonka_solve(game, deadline)
     return {w: solution.winners[idx] == EXISTS for w, idx in roots.items()}
-
-
-def check_via_game(model, formula, state: str, deadline=None) -> bool:
-    closure = formula if isinstance(formula, ClosureGraph) else build_closure(formula)
-    return game_verdicts(model, closure, [state], deadline)[state]
 
 
 def export_pgsolver(game: ParityGame) -> str:

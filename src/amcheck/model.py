@@ -39,16 +39,6 @@ class Cgf:
         """Extension of an atom; unlisted atoms denote the empty set."""
         return self.valuation.get(name, frozenset())
 
-    def moves(self, state: str, agent: int) -> int:
-        counts = _state_entry(self.move_counts, state)
-        if not 1 <= agent <= self.agents:
-            raise ModelError(f"unknown agent {agent}")
-        return counts[agent - 1]
-
-    def grand_moves(self, state: str):
-        counts = self.move_counts[state]
-        return itertools.product(*(range(1, c + 1) for c in counts))
-
     def groups(self, state: str, coalition) -> list[tuple[tuple[int, ...], list[str]]]:
         """What the coalition can force at a state: one (joint move, reached
         states) pair per joint move of the coalition, in lexicographic order.
@@ -80,13 +70,15 @@ class Ef:
 
     def family(self, state: str, coalition: tuple[int, ...]) -> tuple[frozenset[str], ...]:
         """Effectivity sets for a coalition; missing entries are an error
-        because sparse frames only answer for the coalitions they list."""
-        per_state = _state_entry(self.effectivity, state)
-        if coalition not in per_state:
+        because sparse frames only answer for the coalitions they list, and
+        may list none at a state they have."""
+        try:
+            return self.effectivity[state][coalition]
+        except KeyError:
+            check_states(self, (state,))
             raise ModelError(
                 f"no effectivity entry for coalition {format_coalition(coalition)} at state {state}"
-            )
-        return per_state[coalition]
+            ) from None
 
     def groups(self, state: str, coalition) -> list[tuple[frozenset[str], list[str]]]:
         """What the coalition can force at a state: one (set, sorted states)
@@ -134,15 +126,6 @@ def _joint_moves(counts: tuple[int, ...], members: tuple[int, ...]):
     for grand in itertools.product(*(range(1, c + 1) for c in counts)):
         completions.setdefault(tuple(grand[a - 1] for a in members), []).append(grand)
     return tuple((joint, tuple(grands)) for joint, grands in completions.items())
-
-
-def outcome(g: Cgf, state: str, grand: tuple[int, ...]) -> str:
-    table = _state_entry(g.transitions, state)
-    if grand not in table:
-        raise ModelError(
-            f"inadmissible grand move {format_grand(grand)} at state {state}"
-        )
-    return table[grand]
 
 
 def format_grand(grand: tuple[int, ...]) -> str:

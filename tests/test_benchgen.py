@@ -22,7 +22,7 @@ from amcheck.formula import (
     connective_count,
     format_formula,
 )
-from amcheck.model import model_to_json, outcome, validate_cgf
+from amcheck.model import model_to_json, validate_cgf
 
 ATOMS = ("p1", "p2", "p3", "p4")
 
@@ -129,23 +129,23 @@ class TestCastle:
 
     def test_mutual_attack_destroys_both(self):
         g, _ = gen_castle(2, 1)
-        assert outcome(g, "r1-r1", (2, 2)) == "s0-s0"
+        assert g.transitions["r1-r1"][(2, 2)] == "s0-s0"
 
     def test_defense_blocks(self):
         g, _ = gen_castle(2, 1)
-        assert outcome(g, "r1-r1", (1, 1)) == "r1-r1"
+        assert g.transitions["r1-r1"][(1, 1)] == "r1-r1"
         # attacked while defending: no damage, attacker left unready
-        assert outcome(g, "r1-r1", (1, 2)) == "r1-s1"
-        assert outcome(g, "r1-r1", (2, 1)) == "s1-r1"
+        assert g.transitions["r1-r1"][(1, 2)] == "r1-s1"
+        assert g.transitions["r1-r1"][(2, 1)] == "s1-r1"
 
     def test_undefended_attack_lands(self):
         g, _ = gen_castle(2, 1)
         # castle 2 is spent and resting; resting still blocks one attack
-        assert outcome(g, "r1-s1", (2, 1)) == "s1-r1"
+        assert g.transitions["r1-s1"][(2, 1)] == "s1-r1"
 
     def test_rest_recovers_readiness(self):
         g, _ = gen_castle(2, 1)
-        assert outcome(g, "s1-s1", (1, 1)) == "r1-r1"
+        assert g.transitions["s1-s1"][(1, 1)] == "r1-r1"
 
     def test_points_never_increase(self):
         g, _ = gen_castle(2, 2)
@@ -211,18 +211,18 @@ class TestModulo:
 
     def test_one_step_reach_set(self):
         g, _ = gen_modulo(2, 2, 10)
-        targets = {outcome(g, "0", grand) for grand in g.grand_moves("0")}
+        targets = set(g.transitions["0"].values())
         assert targets == {"2", "3", "4"}
 
     def test_outcome_depends_only_on_sum(self):
         g, _ = gen_modulo(2, 3, 10)
         for w in g.states:
-            assert outcome(g, w, (1, 2)) == outcome(g, w, (2, 1))
-            assert outcome(g, w, (3, 1)) == outcome(g, w, (2, 2))
+            assert g.transitions[w][(1, 2)] == g.transitions[w][(2, 1)]
+            assert g.transitions[w][(3, 1)] == g.transitions[w][(2, 2)]
 
     def test_wraparound(self):
         g, _ = gen_modulo(1, 3, 5)
-        assert outcome(g, "4", (3,)) == "2"
+        assert g.transitions["4"][(3,)] == "2"
 
     def test_formula_suite(self):
         _, formulas = gen_modulo(2, 2, 4)

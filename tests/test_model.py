@@ -19,7 +19,6 @@ from amcheck.model import (
     load_model,
     loads_model,
     model_to_json,
-    outcome,
     validate_cgf,
     validate_ef,
 )
@@ -44,25 +43,16 @@ class TestFixture:
         assert smallgame.atom_states("unlisted") == frozenset()
 
     def test_move_counts(self, smallgame):
-        assert smallgame.moves("w1", 1) == 2
-        assert smallgame.moves("w2", 3) == 1
-        with pytest.raises(ModelError, match="unknown state"):
-            smallgame.moves("w9", 1)
-        with pytest.raises(ModelError, match="unknown agent"):
-            smallgame.moves("w1", 4)
+        assert smallgame.move_counts["w1"][0] == 2
+        assert smallgame.move_counts["w2"][2] == 1
 
     def test_grand_outcomes(self, smallgame):
-        assert outcome(smallgame, "w1", (1, 2, 1)) == "w2"
-        assert outcome(smallgame, "w1", (2, 2, 2)) == "w3"
-        assert outcome(smallgame, "w2", (1, 1, 1)) == "w2"
-        to_w2 = {g for g in smallgame.grand_moves("w1") if outcome(smallgame, "w1", g) == "w2"}
+        table = smallgame.transitions["w1"]
+        assert table[1, 2, 1] == "w2"
+        assert table[2, 2, 2] == "w3"
+        assert smallgame.transitions["w2"][1, 1, 1] == "w2"
+        to_w2 = {g for g, v in table.items() if v == "w2"}
         assert to_w2 == {(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)}
-
-    def test_outcome_errors(self, smallgame):
-        with pytest.raises(ModelError, match="inadmissible grand move 1,1,3 at state w1"):
-            outcome(smallgame, "w1", (1, 1, 3))
-        with pytest.raises(ModelError, match="unknown state"):
-            outcome(smallgame, "w9", (1, 1, 1))
 
 
 class TestJointMoves:
@@ -71,7 +61,8 @@ class TestJointMoves:
     def test_empty_coalition_has_one_joint_move(self, smallgame):
         groups = smallgame.groups("w1", ())
         assert [choice for choice, _ in groups] == [()]
-        assert groups[0][1] == [smallgame.transitions["w1"][g] for g in smallgame.grand_moves("w1")]
+        table = smallgame.transitions["w1"]
+        assert groups[0][1] == [table[g] for g in sorted(table)]
 
     def test_pair_coalition_lexicographic(self, smallgame):
         assert smallgame.groups("w1", (1, 3)) == [
@@ -89,7 +80,7 @@ class TestJointMoves:
         for coalition in [(), (1,), (2,), (1, 2), (1, 2, 3)]:
             expected = 1
             for a in coalition:
-                expected *= smallgame.moves("w1", a)
+                expected *= smallgame.move_counts["w1"][a - 1]
             assert len(smallgame.groups("w1", coalition)) == expected
 
     def test_unordered_input_normalized(self, smallgame):
@@ -216,14 +207,17 @@ class TestEffectivityFrames:
     def test_family_errors(self, smallgame_min_ef):
         with pytest.raises(ModelError, match="unknown state w9"):
             smallgame_min_ef.family("w9", ())
-        # sparse frames answer only for listed coalitions
+        # sparse frames answer only for listed coalitions, and may list none
+        # at a state they have
         sparse = loads_model(
-            '{"kind":"ef","agents":2,"states":["a"],"valuation":{},'
+            '{"kind":"ef","agents":2,"states":["a","b"],"valuation":{},'
             '"effectivity":{"a":{"{1}":[["a"]]}}}'
         )
         assert sparse.family("a", (1,)) == (frozenset({"a"}),)
         with pytest.raises(ModelError, match=r"no effectivity entry for coalition \{2\} at state a"):
             sparse.family("a", (2,))
+        with pytest.raises(ModelError, match=r"^no effectivity entry for coalition \{1\} at state b$"):
+            sparse.family("b", (1,))
 
     def test_canonical_family_order(self):
         fam = canonical_family([{"b", "a"}, {"c"}, {"a", "b"}, {"a"}])
