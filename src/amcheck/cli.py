@@ -17,7 +17,7 @@ from .errors import AmcError, CheckTimeout
 from .formula import build_closure, coalitions_in, format_formula, parse_formula
 from .localfp import fixpoint_verdicts
 from .mcgame import game_verdicts, import_pgsolver, zielonka_solve
-from .model import Cgf, Ef, load_model, model_to_json, save_model
+from .model import Cgf, Ef, load_model, model_to_json, read_text, save_model
 from .timing import Deadline
 
 ENGINES = ("cgf-game", "cgf-local", "ef-game", "ef-local")
@@ -52,7 +52,7 @@ def cmd_check(args, parser) -> int:
     stats = []
     start = time.perf_counter()
     model = load_model(args.model)
-    formula = parse_formula(Path(args.formula).read_text())
+    formula = parse_formula(read_text(args.formula))
     closure = build_closure(formula)
     stats.append(("parse", time.perf_counter() - start))
     if args.convert:
@@ -88,7 +88,7 @@ def cmd_convert(args, parser) -> int:
         mode, path = args.coalitions
         if mode != "from-formula":
             parser.error("--coalitions expects: from-formula <file>")
-        formulas = [parse_formula(Path(path).read_text())]
+        formulas = [parse_formula(read_text(path))]
     ef, seconds = _timed_convert(model, formulas, args.minimize)
     text = model_to_json(ef)
     if args.out:
@@ -100,7 +100,7 @@ def cmd_convert(args, parser) -> int:
 
 
 def cmd_solve_game(args, parser) -> int:
-    game, ids = import_pgsolver(Path(args.input).read_text())
+    game, ids = import_pgsolver(read_text(args.input))
     solution = zielonka_solve(game)
     for ident, winner in zip(ids, solution.winners):
         print(f"{ident}: {winner}")

@@ -181,7 +181,9 @@ def format_formula(f: Formula) -> str:
 
     Binary nodes carry their own parentheses; a prefix form only needs them
     when it sits left of a binary operator, where it would otherwise swallow
-    the rest of the line.  Trees deeper than MAX_DEPTH raise FormulaError.
+    the rest of the line.  So each node above a leaf opens at most one pair,
+    and a tree within MAX_DEPTH prints within the parser's limit on open
+    parentheses.  Trees deeper than MAX_DEPTH raise FormulaError.
     """
     _check_depth(f)
     return _format(f)
@@ -220,14 +222,14 @@ _SPACE = re.compile(r"[ \t\r\n]*")
 
 MAX_DEPTH = 100
 """Deepest formula the parser accepts: no path from the root of the syntax
-tree to a leaf passes more than MAX_DEPTH nodes, where each pair of
-parentheses counts as one more level.  Deeper input raises ParseError, and
-validate_formula, build_closure, format_formula, free_vars and
-fixpoint_priorities reject deeper trees built in code with FormulaError.  The
-limit keeps the recursive parser and the recursive passes over the tree (free
-variables, priorities, closure building, formatting) well inside Python's
-recursion limit; the counting walks and coalitions_in use no recursion and
-answer at any depth."""
+tree to a leaf passes more than MAX_DEPTH nodes, and no leaf of the text sits
+inside more than MAX_DEPTH - 1 pairs of parentheses (parentheses build no
+node).  Deeper input raises ParseError, and validate_formula, build_closure,
+format_formula, free_vars and fixpoint_priorities reject deeper trees built in
+code with FormulaError.  The limit keeps the recursive parser and the
+recursive passes over the tree (free variables, priorities, closure building,
+formatting) well inside Python's recursion limit; the counting walks and
+coalitions_in use no recursion and answer at any depth."""
 
 
 class _Parser:
@@ -245,7 +247,8 @@ class _Parser:
             self.tokens.append((m.group(), pos))
             pos = m.end()
         self.i = 0
-        self.open = 0  # modalities, binders and parentheses being parsed
+        self.parens = 0  # parentheses being parsed
+        self.prefixes = 0  # modalities and binders being parsed
 
     def _linecol(self, offset: int) -> tuple[int, int]:
         line = self.text.count("\n", 0, offset) + 1
@@ -271,12 +274,12 @@ class _Parser:
             self._fail(f"expected {lexeme!r}")
         self.i += 1
 
-    def _enter(self) -> None:
-        """Open a modality, binder or parenthesis: each adds one level to
-        every path through it, so more than MAX_DEPTH open at once already
-        exceed the limit."""
-        self.open += 1
-        if self.open > MAX_DEPTH:
+    def _check_open(self, count: int) -> None:
+        """Check a count of parentheses, or of modalities and binders, open at
+        once.  At least a leaf lies inside them, so MAX_DEPTH of either kind
+        already exceed the limit; failing before the inside is parsed keeps
+        the parser's recursion bounded."""
+        if count >= MAX_DEPTH:
             self._fail(f"formula nests deeper than {MAX_DEPTH} levels")
 
     def _deeper(self, depth: int) -> int:
@@ -306,23 +309,25 @@ class _Parser:
     def prefixed(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok in ("[", "<"):
-            self._enter()
+            self.prefixes += 1
+            self._check_open(self.prefixes)
             self.i += 1
             coalition = self.coalition()
             self.expect("]" if tok == "[" else ">")
             arg, depth = self.formula()
-            self.open -= 1
+            self.prefixes -= 1
             modality = Enforce if tok == "[" else Allows
             return modality(coalition, arg), self._deeper(depth)
         if tok in ("mu", "nu"):
-            self._enter()
+            self.prefixes += 1
+            self._check_open(self.prefixes)
             self.i += 1
             var = self.take()
             if not var[0].isupper():
                 self._fail("fixpoint variable must start uppercase")
             self.expect(".")
             body, depth = self.formula()
-            self.open -= 1
+            self.prefixes -= 1
             binder = Mu if tok == "mu" else Nu
             return binder(var, body), self._deeper(depth)
         return self.atomic()
@@ -332,12 +337,13 @@ class _Parser:
         if tok is None:
             self._fail("unexpected end of input")
         if tok == "(":
-            self._enter()
+            self.parens += 1
+            self._check_open(self.parens)
             self.i += 1
             inner, depth = self.formula()
             self.expect(")")
-            self.open -= 1
-            return inner, self._deeper(depth)
+            self.parens -= 1
+            return inner, depth
         if tok == "~":
             self.i += 1
             name = self.take()

@@ -9,6 +9,7 @@ states and stay within |W| * |closure| * (|grand moves| + 1) positions.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -42,6 +43,9 @@ class ParityGame:
 
 @dataclass
 class Solution:
+    """The winner of every position, and the winner's move at every
+    position the winner owns."""
+
     winners: tuple[str, ...]
     strategy: dict[int, int] = field(default_factory=dict)
 
@@ -150,102 +154,205 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
 build_game_cgf = build_game_ef = build_game
 
 
-def _attract(alive, targets, player, successors, predecessors, owners, strategy):
-    """Player's attractor to the targets inside the live region; every
-    attracted position the player owns gets its attracting move written into
-    `strategy`.  An opponent position's escapes (distinct live successors)
-    are counted on its first reach and drop by one per attracted successor."""
-    attracted = set(targets)
-    escapes = {}
-    queue = list(attracted)
-    while queue:
-        t = queue.pop()
+def _attract(targets, d, player, stamp, inn, owners, successors, predecessors, mark, escapes, counted, move):
+    """Player's attractor to the targets inside the region at depth d (the
+    positions v with inn[v] >= d).  Returns the attracted positions, targets
+    first, each marked with `stamp`; every attracted position the player owns
+    gets its attracting move written into `move`.  An opponent position's
+    escapes (live successors) are counted on its first reach in this call and
+    drop by one per attracted successor."""
+    for t in targets:
+        mark[t] = stamp
+    attracted = list(targets)
+    for t in attracted:  # the loop also visits what it appends
         for v in predecessors[t]:
-            if v not in alive or v in attracted:
+            if mark[v] == stamp or inn[v] < d:
                 continue
             if owners[v] == player:
-                strategy[v] = t
+                move[v] = t
             else:
-                # a count never rests at 0: the position is attracted then
-                left = escapes.get(v) or len(alive.intersection(successors[v]))
-                escapes[v] = left = left - 1
+                if counted[v] == stamp:
+                    left = escapes[v] - 1
+                else:
+                    counted[v] = stamp
+                    left = len([u for u in successors[v] if inn[u] >= d]) - 1
                 if left:
+                    escapes[v] = left
                     continue
-            attracted.add(v)
-            queue.append(v)
+            mark[v] = stamp
+            attracted.append(v)
     return attracted
 
 
+def _components(region, d, stamp, inn, successors, seen, index, low):
+    """Strongly connected components of the region at depth d, each one
+    listed after every component it can reach (iterative Tarjan)."""
+    components = []
+    stack: list[int] = []
+    finished = len(index)  # above every index a pass gives out
+    count = 0
+    for root in region:
+        if seen[root] == stamp:
+            continue
+        seen[root] = stamp
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for u in edges:
+                if inn[u] < d:
+                    continue
+                if seen[u] != stamp:
+                    seen[u] = stamp
+                    index[u] = low[u] = count
+                    count += 1
+                    stack.append(u)
+                    work.append((u, iter(successors[u])))
+                    break
+                if index[u] < low[v]:  # u is on the stack: finished ones index high
+                    low[v] = index[u]
+            else:
+                work.pop()
+                lowest = low[v]
+                if work and lowest < low[work[-1][0]]:
+                    low[work[-1][0]] = lowest
+                if lowest == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    component = stack[at:]
+                    del stack[at:]
+                    for u in component:
+                        index[u] = finished
+                    components.append(component)
+    return components
+
+
 def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
-    """Zielonka's attractor decomposition in its loop form.
+    """Zielonka's attractor decomposition over strongly connected components.
 
     Positions where the owner is stuck are handed to the opponent up front
-    (with their attractors), so the core left is total.  `solve(sub)` removes
-    the top priority's attractor and solves the rest first.  While the
-    opponent wins part of it, the opponent's attractor to that part is won
-    by the opponent in `sub` as well, and the loop goes round again without
-    it; once the opponent wins nothing, the player wins all of `sub`.
-    Winners and moves go into one list and one table, where a larger
-    subgame overwrites what a nested one wrote.  Only the first solve nests,
-    once per distinct priority, and `solve` yields it to an explicit stack,
-    so the Python call depth does not grow with the game.  A deadline is
-    polled once per pass of that loop.
+    (with their attractors), so the core left is total.  `solve(region)`
+    splits its subgame into strongly connected components and handles them
+    bottom-up: the positions of a component that are not decided yet form a
+    closed subgame, which the loop below solves, and the regions the two
+    players win there are attracted in the whole region.  A subgame with at
+    most two priorities skips the split and goes straight to the loop.
+
+    The loop removes the top priority's attractor and solves the rest first,
+    through `solve`.  While the opponent wins part of it, the opponent's
+    attractor to that part is won by the opponent in the subgame as well,
+    and the loop goes round again without it; once the opponent wins nothing,
+    the player wins the whole subgame.
+
+    Regions nest, so one depth per position says which of them hold it:
+    position v is in the region at depth d iff inn[v] >= d.  Owners and
+    winners are 0 (Exists) and 1 (Forall).  `solve` yields each nested
+    region to an explicit stack instead of calling itself, so the Python
+    call depth does not grow with the game.  A deadline is polled once per
+    call of `solve` and once per pass of the loop.
     """
     n = len(game)
     successors = game.successors
-    owners = game.owners
     priorities = game.priorities
+    owners = [0 if o == EXISTS else 1 for o in game.owners]
     predecessors: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in set(successors[v]):
+    for v, row in enumerate(successors):
+        for u in row:
             predecessors[u].append(v)
+    inn = [1] * n
+    winners = [0] * n
+    move = [-1] * n
+    # scratch rows, valid where stamped with the current call's stamp:
+    # attractor marks and Tarjan visits, escape counts, Tarjan numbering
+    mark = [0] * n
+    counted = [0] * n
+    escapes = [0] * n
+    index = [0] * n
+    low = [0] * n
+    stamps = itertools.count(1)
+    rows = (inn, owners, successors, predecessors, mark, escapes, counted, move)
 
-    winners: list[str | None] = [None] * n
-    strategy: dict[int, int] = {}
-    alive = set(range(n))
-    for player in (EXISTS, FORALL):
-        stuck = {
-            v
-            for v in alive
-            if owners[v] != player and not any(u in alive for u in successors[v])
-        }
+    def win(targets, d, player):
+        """The player wins its attractor to the targets in the region at
+        depth d, which leaves that region."""
+        for v in _attract(targets, d, player, next(stamps), *rows):
+            winners[v] = player
+            inn[v] = d - 1
+
+    # Only a dead end can be stuck: a position whose successors all fall
+    # into one player's attractor is attracted itself.
+    dead = [v for v in range(n) if not successors[v]]
+    for player in (0, 1):
+        stuck = [v for v in dead if owners[v] != player]
         if stuck:
-            region = _attract(alive, stuck, player, successors, predecessors, owners, strategy)
-            for v in region:
-                winners[v] = player
-            alive -= region
+            win(stuck, 1, player)
 
-    def solve(sub: set[int]):
+    def loop(sub, d):
         while sub:
             if deadline is not None:
                 deadline.check()
-            top = max(priorities[v] for v in sub)
-            player = EXISTS if top % 2 == 0 else FORALL
-            opponent = FORALL if player == EXISTS else EXISTS
-            summit = {v for v in sub if priorities[v] == top}
-            rest = sub - _attract(sub, summit, player, successors, predecessors, owners, strategy)
-            yield rest  # the driver below solves it before resuming
-            lost = {v for v in rest if winners[v] == opponent}
-            if not lost:
-                for v in sub:
-                    winners[v] = player
-                for v in summit:
-                    if owners[v] == player:
-                        strategy[v] = next(u for u in successors[v] if u in sub)
-                return
-            trap = _attract(sub, lost, opponent, successors, predecessors, owners, strategy)
-            for v in trap:
-                winners[v] = opponent
-            sub = sub - trap
+            top = max(map(priorities.__getitem__, sub))
+            player = top & 1
+            summit = [v for v in sub if priorities[v] == top]
+            stamp = next(stamps)
+            attracted = _attract(summit, d, player, stamp, *rows)
+            rest = [v for v in sub if mark[v] != stamp]
+            if rest:
+                for v in attracted:
+                    inn[v] = d
+                for v in rest:
+                    inn[v] = d + 1
+                yield rest, d + 1  # the driver below solves it before resuming
+                lost = [v for v in rest if winners[v] != player]
+                if lost:
+                    win(lost, d, 1 - player)
+                    sub = [v for v in sub if inn[v] >= d]
+                    continue
+            for v in sub:
+                winners[v] = player
+            for v in summit:
+                if owners[v] == player:
+                    move[v] = next(u for u in successors[v] if inn[u] >= d)
+            return
 
-    stack = [solve(alive)]
+    def solve(region, d):
+        if deadline is not None:
+            deadline.check()
+        if len(set(map(priorities.__getitem__, region))) <= 2:
+            # the loop's nested rest holds one priority, won in one pass:
+            # a split would cost more than it saves
+            yield from loop(region, d)
+            return
+        for component in _components(region, d, next(stamps), inn, successors, mark, index, low):
+            sub = [v for v in component if inn[v] >= d]  # not decided yet
+            if len(sub) == 1:  # a position with a self-loop
+                v = sub[0]
+                winners[v] = player = priorities[v] & 1
+                if owners[v] == player:
+                    move[v] = v
+                win(sub, d, player)
+            elif sub:
+                for v in sub:
+                    inn[v] = d + 1
+                yield from loop(sub, d + 1)
+                for player in (0, 1):
+                    won = [v for v in sub if winners[v] == player]
+                    if won:
+                        win(won, d, player)
+
+    stack = [solve([v for v in range(n) if inn[v]], 1)]
     while stack:
-        sub = next(stack[-1], None)
-        if sub is None:
+        nested = next(stack[-1], None)
+        if nested is None:
             stack.pop()
         else:
-            stack.append(solve(sub))
-    return Solution(tuple(winners), strategy)
+            stack.append(solve(*nested))
+    names = (EXISTS, FORALL)
+    strategy = {v: move[v] for v in range(n) if owners[v] == winners[v]}
+    return Solution(tuple(names[w] for w in winners), strategy)
 
 
 def game_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> dict[str, bool]:

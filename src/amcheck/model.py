@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ModelError
+from .errors import AmcError, ModelError
 from .formula import format_coalition
 
 
@@ -336,8 +336,17 @@ def loads_model(text: str) -> Model:
     return model
 
 
+def read_text(path) -> str:
+    """An input file's text; a file that is not UTF-8 raises AmcError
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AmcError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def load_model(path) -> Model:
-    return loads_model(Path(path).read_text())
+    return loads_model(read_text(path))
 
 
 def model_to_json(model: Model) -> str:

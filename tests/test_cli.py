@@ -384,6 +384,28 @@ def parse_csv(out):
     return rows[1:]
 
 
+# argv of each command that reads an input file, with BAD for the file that
+# is not UTF-8 and FORMULA for a valid formula file
+NON_UTF8_INPUTS = {
+    "check-model": ["check", "--model", "BAD", "--formula", "FORMULA", "--engine", "cgf-local"],
+    "check-formula": ["check", "--model", "MODEL", "--formula", "BAD", "--engine", "cgf-local"],
+    "convert": ["convert", "--in", "BAD"],
+    "solve-game": ["solve-game", "--in", "BAD"],
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_UTF8_INPUTS.values()), ids=list(NON_UTF8_INPUTS))
+def test_non_utf8_input_names_the_file(capsys, tmp_path, smallgame_path, argv):
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(b"\xff\xfe" + "p".encode("utf-16-le"))
+    paths = {"BAD": str(bad), "FORMULA": write_formula(tmp_path, "p"), "MODEL": str(smallgame_path)}
+    code, out, err = run(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and str(bad) in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 class TestBench:
     def test_modulo_grid(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 """Parity game construction, solving, and the PGSolver text format."""
 
+import gc
 import hashlib
 import random
 import sys
@@ -11,6 +12,7 @@ import amcheck.formula
 from helpers import brute_force_solve, random_parity_game, strategy_defects
 from amcheck import build_closure, convert, gen_castle, gen_modulo, parse_formula
 from amcheck.errors import CheckTimeout, ModelError
+from amcheck.timing import Deadline
 from amcheck.mcgame import (
     EXISTS,
     FORALL,
@@ -249,9 +251,9 @@ class TestZielonka:
             assert strategy_defects(game, sol) == []
 
     def test_many_priorities_keep_recursion_limit(self):
-        # position v has priority v and may stay or step down to v - 1, so
-        # the solver nests once per priority; Exists wins by stepping down
-        # from every odd position and staying at every even one
+        # position v has priority v and may stay or step down to v - 1;
+        # Exists wins everywhere, staying at every even position and stepping
+        # down from every odd one (or further, to any even position)
         n = 1500
         game = make_game(
             [(EXISTS, v, (v, v - 1) if v else (0,), str(v)) for v in range(n)]
@@ -260,8 +262,73 @@ class TestZielonka:
         sol = zielonka_solve(game)
         assert sys.getrecursionlimit() == limit
         assert sol.winners == (EXISTS,) * n
-        assert all(sol.strategy[v] == v - (v % 2) for v in range(n))
         assert strategy_defects(game, sol) == []
+
+    def test_one_component_nesting_once_per_priority(self):
+        # a path v <-> v + 1 with priority v is one strongly connected
+        # component, and every nested subgame is one again: the solver nests
+        # once per priority.  Forall (odd positions) wins everywhere by always
+        # stepping down, so every cycle a play can close tops at an odd position.
+        n = 1500
+        game = make_game(
+            [
+                (EXISTS if v % 2 == 0 else FORALL, v, tuple(u for u in (v - 1, v + 1) if 0 <= u < n), str(v))
+                for v in range(n)
+            ]
+        )
+        limit = sys.getrecursionlimit()
+        sol = zielonka_solve(game)
+        assert sys.getrecursionlimit() == limit
+        assert sol.winners == (FORALL,) * n
+        assert strategy_defects(game, sol) == []
+
+    @staticmethod
+    def mixed_chain(n, cyclic):
+        """Position v has priority v and may stay or step down to v - 1;
+        Forall owns every third position.  Position 0 only stays, or with
+        `cyclic` may also jump up to n - 1."""
+        rows = []
+        for v in range(n):
+            succ = (v, v - 1) if v else ((0, n - 1) if cyclic else (0,))
+            rows.append((FORALL if v % 3 == 0 else EXISTS, v, succ, str(v)))
+        return make_game(rows)
+
+    @pytest.mark.parametrize("n,cyclic", [(1500, False), (800, True)], ids=["chain", "cyclic"])
+    def test_mixed_owner_chain_is_fast(self, n, cyclic):
+        # every opponent win in a subgame once sent the solver round its loop
+        # to re-solve the whole lower chain: 89 s at 1,500 positions and
+        # 11 s for the cyclic 800.  The deadline makes the limit hard: the
+        # solver polls it and raises CheckTimeout once it has passed.
+        game = self.mixed_chain(n, cyclic)
+        start = time.perf_counter()
+        sol = zielonka_solve(game, Deadline(2.0))
+        assert time.perf_counter() - start < 2.0
+        assert strategy_defects(game, sol) == []
+        if not cyclic:
+            # the owner stays where the priority suits it, else steps down
+            # if the position below is its own, else loses
+            expected = []
+            for v in range(n):
+                owner = FORALL if v % 3 == 0 else EXISTS
+                suits = (v % 2 == 0) == (owner == EXISTS)
+                expected.append(owner if suits or (v and expected[v - 1] == owner) else
+                                (EXISTS if owner == FORALL else FORALL))
+            assert sol.winners == tuple(expected)
+
+    def test_leaves_no_reference_cycles(self):
+        # a solve frees everything it built by reference counting alone, so
+        # a run of solves does not hold on to memory until the next collection
+        game = random_parity_game(random.Random(5), 300, 9)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            zielonka_solve(game)
+            zielonka_solve(self.mixed_chain(300, True))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_strategies_certified_past_oracle_size(self):
         # far past the brute-force oracle's 12 positions, the certificate
