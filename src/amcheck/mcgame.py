@@ -238,8 +238,12 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
     splits its subgame into strongly connected components and handles them
     bottom-up: the positions of a component that are not decided yet form a
     closed subgame, which the loop below solves, and the regions the two
-    players win there are attracted in the whole region.  A subgame with at
-    most two priorities skips the split and goes straight to the loop.
+    players win there are attracted in the whole region.  The split is only
+    a speed-up, so two kinds of subgame skip it and go straight to the loop:
+    one with at most two priorities, whose nested rest holds one priority and
+    is won in one pass, and the nested rest of a region that was one
+    component, which mostly is one component again (a game that stays one
+    component at every level then pays for a split at every other level).
 
     The loop removes the top priority's attractor and solves the rest first,
     through `solve`.  While the opponent wins part of it, the opponent's
@@ -290,7 +294,7 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
         if stuck:
             win(stuck, 1, player)
 
-    def loop(sub, d):
+    def loop(sub, d, split):
         while sub:
             if deadline is not None:
                 deadline.check()
@@ -305,7 +309,7 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
                     inn[v] = d
                 for v in rest:
                     inn[v] = d + 1
-                yield rest, d + 1  # the driver below solves it before resuming
+                yield rest, d + 1, split  # the driver below solves it before resuming
                 lost = [v for v in rest if winners[v] != player]
                 if lost:
                     win(lost, d, 1 - player)
@@ -318,32 +322,25 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
                     move[v] = next(u for u in successors[v] if inn[u] >= d)
             return
 
-    def solve(region, d):
+    def solve(region, d, split):
         if deadline is not None:
             deadline.check()
-        if len(set(map(priorities.__getitem__, region))) <= 2:
-            # the loop's nested rest holds one priority, won in one pass:
-            # a split would cost more than it saves
-            yield from loop(region, d)
+        if not split or len(set(map(priorities.__getitem__, region))) <= 2:
+            yield from loop(region, d, True)
             return
-        for component in _components(region, d, next(stamps), inn, successors, mark, index, low):
+        components = _components(region, d, next(stamps), inn, successors, mark, index, low)
+        for component in components:
             sub = [v for v in component if inn[v] >= d]  # not decided yet
-            if len(sub) == 1:  # a position with a self-loop
-                v = sub[0]
-                winners[v] = player = priorities[v] & 1
-                if owners[v] == player:
-                    move[v] = v
-                win(sub, d, player)
-            elif sub:
+            if sub:
                 for v in sub:
                     inn[v] = d + 1
-                yield from loop(sub, d + 1)
+                yield from loop(sub, d + 1, len(components) > 1)
                 for player in (0, 1):
                     won = [v for v in sub if winners[v] == player]
                     if won:
                         win(won, d, player)
 
-    stack = [solve([v for v in range(n) if inn[v]], 1)]
+    stack = [solve([v for v in range(n) if inn[v]], 1, True)]
     while stack:
         nested = next(stack[-1], None)
         if nested is None:
