@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import ModelError
 from .model import Cgf, Ef, canonical_family
+
+MAX_TABLE_ENTRIES = 1 << 18
+"""Most (state, coalition) entries a conversion over every coalition may
+list, 2^agents of them per state; beyond it the conversion is refused before
+anything is listed, since one small file with many agents would otherwise
+exhaust memory.  A conversion over named coalitions is not bounded."""
 
 
 def _all_coalitions(agents: int) -> list[tuple[int, ...]]:
@@ -24,6 +31,11 @@ def induced_effectivity(g: Cgf, coalitions=None, deadline=None) -> Ef:
     """Family per state and coalition: the outcome set of each of the
     coalition's groups, duplicates collapsed."""
     if coalitions is None:
+        if len(g.states) > MAX_TABLE_ENTRIES >> g.agents:
+            raise ModelError(
+                f"a table over every coalition has 2^{g.agents} coalitions at each of {len(g.states)} "
+                f"states, more than {MAX_TABLE_ENTRIES} entries; name the coalitions instead"
+            )
         wanted = _all_coalitions(g.agents)
     else:
         wanted = sorted({tuple(sorted(set(c))) for c in coalitions}, key=lambda c: (len(c), c))

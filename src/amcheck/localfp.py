@@ -8,8 +8,10 @@ propositional nodes combine their children, a fixpoint node of priority i
 reads its body at level i, and modal nodes quantify over the outcome groups
 of the model (one per joint move on a game frame, one per listed set on an
 effectivity frame).  Levels alternate greatest (even) and least (odd)
-fixpoints, innermost first, with every inner level restarted from its
-extreme whenever an outer one moves.
+fixpoints, innermost first.  Each level keeps its value across the whole
+evaluation (Emerson and Lei's warm start): when a level moves, only the inner
+levels of the other parity go back to their extremes, and the inner levels
+of its own parity go on from where they stood.
 
 The engine's one-step function is a children-first (Gauss-Seidel) sweep:
 ``build_closure`` numbers every non-binder node after its children, so one
@@ -18,7 +20,9 @@ sweep, and only binders read the previous level-0 value.  A level is a
 fixpoint of this sweep exactly when it is a fixpoint of the plain (Jacobi)
 step that reads every child from level 0, and the sweep is monotone, so
 iterating it from a level's extreme reaches the same extremal fixpoint in
-fewer steps.  The public ``prop_step`` and ``one_step`` are the Jacobi step:
+fewer steps.  A modal node whose child mask is the one it last saw keeps
+the mask it gave then, so a sweep re-evaluates only the modal nodes whose
+input changed.  The public ``prop_step`` and ``one_step`` are the Jacobi step:
 sets of (state, node) pairs in and out, every child read from ``xvec[0]``.
 """
 
@@ -40,11 +44,14 @@ class _Stepper:
     are evaluated once; every modal node keeps, per state, the mask of the
     reached states of each of the model's outcome groups.  Then enforce holds
     where some group ``g`` has ``g & x == g`` and allows where every group has
-    ``g & x != 0``, with ``x`` the child's mask.  Scans run over every group
-    with no early exit, so the cost of a modal step depends only on the move
-    structure of the model, never on the argument; timings therefore track
-    model growth rather than verdict patterns.  With ``modal=False`` the modal
-    clauses are left out entirely.
+    ``g & x != 0``, with ``x`` the child's mask.  A modal node whose child
+    mask equals the one of its last evaluation, in this call or an earlier
+    one, is skipped: it keeps the mask that evaluation gave.  An evaluated
+    node scans every group with no early exit, so what it costs depends only
+    on the move structure of the model, never on the argument; timings
+    therefore track model growth and the number of input changes rather than
+    verdict patterns.  With ``modal=False`` the modal clauses are left out
+    entirely.
 
     A call sweeps the nodes in ascending id order.  Non-binder children are
     read from ``children`` when it is given (the Jacobi step), otherwise from
@@ -59,6 +66,10 @@ class _Stepper:
         self.size = len(closure.nodes)
         self.statics = [0] * self.size
         self.ops: list[tuple] = []
+        # Per modal node, the child mask of its last evaluation and the mask
+        # it gave; -1 is no mask, so the first call evaluates every node.
+        self.seen = [-1] * self.size
+        self.memo = [0] * self.size
         groups_cache: dict = {}
         for nid, node in enumerate(closure.nodes):
             kind = node.kind
@@ -93,6 +104,7 @@ class _Stepper:
         out = list(self.statics)
         read = out if children is None else children
         domain = self.domain
+        seen, memo = self.seen, self.memo
         for op, nid, a, b in self.ops:
             if op == _AND:
                 out[nid] = read[a] & read[b] & domain
@@ -100,6 +112,8 @@ class _Stepper:
                 out[nid] = (read[a] | read[b]) & domain
             elif op == _FIX:
                 out[nid] = xvec[b][a] & domain
+            elif read[a] == seen[nid]:
+                out[nid] = memo[nid]
             else:
                 # Scans run to completion: no early exit once a quantifier settles.
                 x = read[a]
@@ -120,7 +134,8 @@ class _Stepper:
                                 ok = False
                         if ok:
                             value |= bit
-                out[nid] = value
+                out[nid] = memo[nid] = value
+                seen[nid] = x
         return out
 
     def level(self, pairs) -> list[int]:
@@ -156,25 +171,27 @@ def one_step(model, closure: ClosureGraph, states, xvec) -> set:
 def nested_fixpoint(step, top, bottom, max_priority: int, deadline=None):
     """Value of the alternating fixpoint tower over the one-step function:
     greatest at even levels (starting from ``top``), least at odd (from
-    ``bottom``), level max_priority outermost.  Plain Kleene iteration; every
-    outer update recomputes all inner levels from their extremes.  ``step``
+    ``bottom``), level max_priority outermost.  Kleene iteration with
+    Emerson and Lei's warm start: one value per level persists, and when
+    level i moves only the inner levels of the other parity (i-1, i-3, ...)
+    go back to their extremes; the inner levels of i's parity go on from the
+    value they have, which is sound because the step is monotone.  ``step``
     gets the levels innermost first and must not modify them.  Returns the
     stabilized level 0."""
+    levels = [bottom if i % 2 else top for i in range(max_priority + 1)]
 
-    def solve(level: int, outer: list):
-        current = top if level % 2 == 0 else bottom
+    def solve(level: int):
         while True:
             if deadline is not None:
                 deadline.check()
-            if level == 0:
-                new = step([current] + outer)
-            else:
-                new = solve(level - 1, [current] + outer)
-            if new == current:
-                return current
-            current = new
+            new = step(levels) if level == 0 else solve(level - 1)
+            if new == levels[level]:
+                return new
+            levels[level] = new
+            for inner in range(level - 1, -1, -2):
+                levels[inner] = bottom if inner % 2 else top
 
-    return solve(max_priority, [])
+    return solve(max_priority)
 
 
 def _solve(model, closure: ClosureGraph, deadline, queried=()) -> tuple[_Stepper, list[int]]:

@@ -293,6 +293,8 @@ def loads_model(text: str) -> Model:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("JSON nests too deeply") from exc
     if not isinstance(data, dict) or data.get("kind") not in ("cgf", "ef"):
         raise ModelError('model JSON needs "kind": "cgf" or "ef"')
     kind = data["kind"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import sys
 from pathlib import Path
 
 from amcheck import (
@@ -109,6 +110,24 @@ def all_engine_verdicts(model: Cgf, formula) -> list[dict[str, bool]]:
     ]
 
 
+def restarting_tower(step, top, bottom, max_priority: int):
+    """Alternating fixpoint tower by plain Kleene iteration, every inner level
+    restarted from its extreme (``top`` at even levels, ``bottom`` at odd)
+    whenever an outer level moves.  ``step`` gets the levels innermost first;
+    the stabilized level 0 is returned.  It shares no code with
+    ``localfp.nested_fixpoint``, so it is a reference for its warm start."""
+
+    def solve(level: int, outer: list):
+        current = bottom if level % 2 else top
+        while True:
+            new = step([current, *outer]) if level == 0 else solve(level - 1, [current, *outer])
+            if new == current:
+                return current
+            current = new
+
+    return solve(max_priority, [])
+
+
 def brute_force_solve(game: ParityGame) -> Solution:
     """Independent oracle for small games: the winning region for Exists as a
     priority-indexed nested fixpoint over position sets, evaluated naively.
@@ -166,6 +185,7 @@ def load_perfbench(name: str):
     once per process."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
@@ -208,6 +209,28 @@ class TestCheck:
             assert f"formula nests deeper than {MAX_DEPTH} levels" in err
             assert "Traceback" not in err
 
+    def test_deeply_nested_json_exits_3(self, capsys, tmp_path):
+        model = tmp_path / "deep.json"
+        model.write_text("[" * 2000)
+        formula = write_formula(tmp_path, "p")
+        code, out, err = run(
+            capsys, "check", "--model", str(model), "--formula", formula, "--engine", "cgf-local",
+        )
+        assert code == 3
+        assert out == ""
+        assert "error: JSON nests too deeply" in err
+        assert "Traceback" not in err
+
+
+def many_agents_frame(tmp_path, agents):
+    """A one-state game frame with one move per agent and p true."""
+    path = tmp_path / f"agents{agents}.json"
+    path.write_text(json.dumps({
+        "kind": "cgf", "agents": agents, "states": ["s"], "moves": {"s": [1] * agents},
+        "transitions": {"s": {",".join(["1"] * agents): "s"}}, "valuation": {"p": ["s"]},
+    }))
+    return str(path)
+
 
 class TestConvert:
     def test_stdout_matches_golden(self, capsys, smallgame_path, smallgame_min_ef_path):
@@ -251,6 +274,27 @@ class TestConvert:
                 "--coalitions", "bogus", formula,
             ])
         assert exc.value.code == 2
+
+    def test_full_table_beyond_bound_refused_before_listing(self, capsys, tmp_path, monkeypatch):
+        # 24 agents give 2^24 coalitions at one state, over MAX_TABLE_ENTRIES
+        def no_listing(agents):
+            raise AssertionError("coalitions listed")
+
+        converter = importlib.import_module("amcheck.convert")  # amcheck.convert is the function
+        monkeypatch.setattr(converter, "_all_coalitions", no_listing)
+        code, out, err = run(capsys, "convert", "--in", many_agents_frame(tmp_path, 24))
+        assert code == 3
+        assert out == ""
+        assert f"more than {converter.MAX_TABLE_ENTRIES} entries" in err
+
+    def test_check_convert_lists_only_named_coalitions(self, capsys, tmp_path):
+        formula = write_formula(tmp_path, "[{1}] p")
+        code, out, _ = run(
+            capsys, "check", "--model", many_agents_frame(tmp_path, 24), "--formula", formula,
+            "--engine", "ef-local", "--convert",
+        )
+        assert code == 0
+        assert out == "s\ttrue\n"
 
     def test_rejects_ef_input(self, capsys, smallgame_min_ef_path):
         code, _, err = run(capsys, "convert", "--in", str(smallgame_min_ef_path))

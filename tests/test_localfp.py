@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from helpers import naive_extension
+from helpers import load_perfbench, naive_extension, restarting_tower
 from amcheck import build_closure, parse_formula
 from amcheck.benchgen import gen_modulo, gen_random_cgf, gen_random_formula
 from amcheck.convert import convert, minimize
 from amcheck.errors import CheckTimeout, ModelError
 from amcheck.mcgame import game_verdicts
 from amcheck.localfp import (
+    _Stepper,
     fixpoint_extension,
     fixpoint_verdicts,
     nested_fixpoint,
@@ -292,6 +293,85 @@ class TestNestedFixpoint:
         reach = build_closure(parse_formula("mu X. q | [{1,3}] X"))
         assert fixpoint_verdicts(smallgame, reach, ["w1"])["w1"]
         assert not fixpoint_verdicts(smallgame, build_closure(parse_formula("[{1,2}] q")), ["w1"])["w1"]
+
+
+def alternating_cases(frame, count=20):
+    """Random frames, each with a random formula of at least three
+    alternating fixpoint levels (max priority 2 or more)."""
+    atoms = ("p1", "p2", "p3")
+    seeds = itertools.count()
+    cases = []
+    while len(cases) < count:
+        seed = next(seeds)
+        closure = build_closure(gen_random_formula(8 + seed % 10, 2, atoms, seed=seed))
+        if closure.max_priority < 2:
+            continue
+        model = gen_random_cgf(5, 2, 2, atoms, seed=seed)
+        if frame != "cgf":
+            model = convert(model, minimize_families=True)
+        cases.append((model, closure))
+    return cases
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("frame", ["cgf", "ef-min"])
+    def test_equals_restarting_tower_over_public_step(self, frame):
+        for model, closure in alternating_cases(frame):
+            universe = frozenset((w, nid) for w in model.states for nid in range(len(closure.nodes)))
+
+            def step(vec):
+                return one_step(model, closure, model.states, vec)
+
+            args = (universe, frozenset(), closure.max_priority)
+            assert nested_fixpoint(step, *args) == restarting_tower(step, *args), closure
+
+    @pytest.mark.parametrize("frame", ["cgf", "ef-min"])
+    def test_equals_restarting_tower_over_engine_stepper(self, frame):
+        # the reference sweeps with a fresh stepper each time, so it skips no node
+        for model, closure in alternating_cases(frame):
+            step = _Stepper(model, closure, model.states)
+            size = len(closure.nodes)
+            args = ([step.domain] * size, [0] * size, closure.max_priority)
+            reference = restarting_tower(lambda levels: _Stepper(model, closure, model.states)(levels), *args)
+            assert nested_fixpoint(step, *args) == reference, closure
+
+    def test_ladder_step_calls_bounded(self):
+        # perfbench's ladder d6 on its first frame: 864 sweeps when every
+        # inner level restarts, 580 with the warm start
+        workloads = load_perfbench("workloads")
+        model = gen_random_cgf(34, 2, 2, [f"p{i}" for i in range(7)], 1)
+        closure = build_closure(workloads.ladder_formula(6))
+        stepper = _Stepper(model, closure, model.states)
+        calls = 0
+
+        def step(levels):
+            nonlocal calls
+            calls += 1
+            return stepper(levels)
+
+        size = len(closure.nodes)
+        nested_fixpoint(step, [stepper.domain] * size, [0] * size, closure.max_priority)
+        assert calls <= 600, calls
+
+
+class TestStepperReuse:
+    @pytest.mark.parametrize("frame", ["cgf", "ef-min"])
+    def test_reused_stepper_matches_fresh_one(self, frame):
+        # A stepper skips a modal node whose child mask it has seen last; over
+        # any sequence of levels it must still return what a fresh one does.
+        rng = random.Random(7)
+        for model, closure in alternating_cases(frame, count=6):
+            reused = _Stepper(model, closure, model.states)
+            size = len(closure.nodes)
+            pool = [
+                [[rng.getrandbits(len(model.states)) for _ in range(size)] for _ in range(closure.max_priority + 1)]
+                for _ in range(4)
+            ]
+            for _ in range(25):
+                levels = rng.choice(pool)
+                children = rng.choice([None, levels[0], rng.choice(pool)[0]])
+                fresh = _Stepper(model, closure, model.states)
+                assert reused(levels, children) == fresh(levels, children), closure
 
 
 class TestMonotonicity:
