@@ -102,8 +102,7 @@ def cmd_convert(args, parser) -> int:
 def cmd_solve_game(args, parser) -> int:
     game, ids = import_pgsolver(read_text(args.input))
     solution = zielonka_solve(game)
-    for ident, winner in zip(ids, solution.winners):
-        print(f"{ident}: {winner}")
+    sys.stdout.write("".join(f"{ident}: {winner}\n" for ident, winner in zip(ids, solution.winners)))
     return 0
 
 

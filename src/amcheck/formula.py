@@ -369,10 +369,14 @@ class _Parser:
         agents: list[int] = []
         if self.peek() != "}":
             while True:
-                tok = self.take()
+                tok = self.peek() or ""  # read before taking, so errors point at it
                 if not tok.isdigit():
                     self._fail("agent id expected")
-                agents.append(int(tok))
+                try:
+                    agents.append(int(tok))
+                except ValueError:  # more digits than int() reads
+                    self._fail("agent id has too many digits")
+                self.i += 1
                 if self.peek() != ",":
                     break
                 self.i += 1

@@ -1,10 +1,12 @@
 """Model checking by reduction to parity games.
 
-A position pairs a state with a closure node (plus a chosen joint move or
-effectivity set while a modality is being resolved).  Exists wins an infinite
-play iff the highest priority seen infinitely often is even; a player who
-cannot move loses immediately.  Games are built reachably from the queried
-states and stay within |W| * |closure| * (|grand moves| + 1) positions.
+A formula position is keyed (state, closure node id); a group position, where
+a modality's chosen joint move or effectivity set is resolved, is keyed
+(state, node id, group index) and reached only from its modal position, so
+only formula positions are looked up by key.  Exists wins an infinite play
+iff the highest priority seen infinitely often is even; a player who cannot
+move loses immediately.  Games are built reachably from the queried states
+and stay within |W| * |closure| * (|grand moves| + 1) positions.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ class Solution:
 @dataclass
 class _Labels(Sequence):
     """Read-only labels of a built game: ``w,<node label>``, followed by
-    ``,(joint move)`` or ``,{set}`` at a position that resolves a group."""
+    ``,(joint move)`` or ``,{set}`` at a position that resolves a group.
+    A formula position's key is (state, node id) and a group position's key
+    is (state, node id, group index), so the key's length tells them apart."""
 
     keys: list  # position keys, in position order
     nodes: tuple  # the closure's nodes
@@ -63,11 +67,11 @@ class _Labels(Sequence):
         return len(self.keys)
 
     def __getitem__(self, v: int) -> str:
-        key = self.keys[v]  # ("f", w, nid) or ("g", w, nid, group index)
-        w, node = key[1], self.nodes[key[2]]
-        if len(key) == 3:
+        key = self.keys[v]
+        w, node = key[0], self.nodes[key[1]]
+        if len(key) == 2:
             return f"{w},{node.label}"
-        choice, reached = self.groups[w, node.coalition][key[3]]
+        choice, reached = self.groups[w, node.coalition][key[2]]
         if isinstance(choice, tuple):  # a joint move
             return f"{w},{node.label},({','.join(map(str, choice))})"
         return f"{w},{node.label},{{{' '.join(reached)}}}"  # an effectivity set
@@ -81,69 +85,62 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
     states the chosen group reaches.  Positions are numbered in discovery
     order and processed in that order, so one list of position keys is both
     the breadth-first work queue and what the game's labels are rendered from.
+    Formula positions (state, node id) get their numbers through `index`.  A
+    group position (state, node id, group index) is reached only from its
+    modal position, which is processed once and numbers its groups
+    consecutively, so group positions stay out of `index`.
     """
     if states is None:
         states = list(model.states)
     else:
         check_states(model, states)
-    index: dict = {}
-    keys: list = []
+    index: dict = {}  # formula position key -> position number
+    roots = {w: index.setdefault((w, closure.root), len(index)) for w in states}
+    keys = list(index)
     owners: list[str] = []
     priorities: list[int] = []
     successors: list[tuple[int, ...]] = []
-
-    def position(key) -> int:
-        if key not in index:
-            index[key] = len(keys)
-            keys.append(key)
-        return index[key]
-
-    def emit(owner: str, priority: int, succ_keys) -> None:
-        owners.append(owner)
-        priorities.append(priority)
-        successors.append(tuple(dict.fromkeys(map(position, succ_keys))))
-
-    roots = {w: position(("f", w, closure.root)) for w in states}
     nodes = closure.nodes
     groups: dict = {}  # (state, coalition) -> the model's outcome groups
-    for key in keys:  # emit appends newly discovered keys behind this one
+    for key in keys:  # each row appends newly discovered keys behind this one
         if deadline is not None:
             deadline.check()
-        if key[0] == "f":
-            _, w, nid = key
-            node = nodes[nid]
-            kind = node.kind
-            if kind == "top":
-                emit(FORALL, 0, ())
-            elif kind == "bot":
-                emit(EXISTS, 0, ())
-            elif kind == "atom":
-                loop = (key,) if w in model.atom_states(node.atom) else ()
-                emit(EXISTS, 0, loop)
-            elif kind == "negatom":
-                loop = (key,) if w in model.atom_states(node.atom) else ()
-                emit(FORALL, 1, loop)
-            elif kind == "and":
-                left, right = node.children
-                emit(FORALL, 0, (("f", w, left), ("f", w, right)))
-            elif kind == "or":
-                left, right = node.children
-                emit(EXISTS, 0, (("f", w, left), ("f", w, right)))
-            elif kind in ("mu", "nu"):
-                emit(EXISTS, node.priority, (("f", w, node.children[0]),))
-            else:  # enforce / allows: pick one of the coalition's groups
-                at = (w, node.coalition)
-                if at not in groups:
-                    groups[at] = model.groups(w, node.coalition)
-                owner = EXISTS if kind == "enforce" else FORALL
-                emit(owner, 0, [("g", w, nid, i) for i in range(len(groups[at]))])
-        else:  # ("g", w, nid, group index): pick a state the group reaches
-            _, w, nid, i = key
-            node = nodes[nid]
-            _, reached = groups[w, node.coalition][i]
-            child = node.children[0]
-            owner = FORALL if node.kind == "enforce" else EXISTS
-            emit(owner, 0, [("f", v, child) for v in reached])
+        w, node = key[0], nodes[key[1]]
+        kind = node.kind
+        priority = 0
+        if len(key) == 3:  # a group position: pick a state the group reaches
+            _, reached = groups[w, node.coalition][key[2]]
+            owner = FORALL if kind == "enforce" else EXISTS
+            succ = [(v, node.children[0]) for v in reached]
+        elif kind in ("enforce", "allows"):  # pick one of the coalition's groups
+            at = (w, node.coalition)
+            if at not in groups:
+                groups[at] = model.groups(w, node.coalition)
+            first = len(keys)
+            keys += [(w, key[1], i) for i in range(len(groups[at]))]
+            owners.append(EXISTS if kind == "enforce" else FORALL)
+            priorities.append(0)
+            successors.append(tuple(range(first, len(keys))))
+            continue
+        elif kind in ("top", "bot"):
+            owner, succ = (FORALL if kind == "top" else EXISTS), ()
+        elif kind in ("atom", "negatom"):
+            owner, priority = (EXISTS, 0) if kind == "atom" else (FORALL, 1)
+            succ = (key,) if w in model.atom_states(node.atom) else ()
+        elif kind in ("and", "or"):
+            owner, succ = (FORALL if kind == "and" else EXISTS), tuple((w, c) for c in node.children)
+        else:  # mu / nu
+            owner, priority, succ = EXISTS, node.priority, ((w, node.children[0]),)
+        row = []
+        for k in succ:
+            u = index.get(k)
+            if u is None:
+                u = index[k] = len(keys)
+                keys.append(k)
+            row.append(u)
+        owners.append(owner)
+        priorities.append(priority)
+        successors.append(tuple(dict.fromkeys(row)))
     game = ParityGame(tuple(owners), tuple(priorities), tuple(successors), _Labels(keys, nodes, groups))
     return game, roots
 
@@ -392,8 +389,9 @@ _PG_ROW = re.compile(r'(\d+)\s+(\d+)\s+([01])\s([0-9,\s]*)(?:"(.*)"\s*)?;')
 
 def import_pgsolver(text: str) -> tuple[ParityGame, tuple[int, ...]]:
     """Parse the text format back; returns the game plus the original ids in
-    row order (ids may be sparse)."""
-    rows: list[tuple[int, int, int, list[int], str]] = []
+    row order (ids may be sparse).  A number too long for int() makes its row
+    unparsable."""
+    ids, priorities, owners, succ_ids, labels = [], [], [], [], []  # parallel rows, one per position
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("parity"):
@@ -402,25 +400,24 @@ def import_pgsolver(text: str) -> tuple[ParityGame, tuple[int, ...]]:
         if not m:
             raise ModelError(f"unparsable game row: {raw!r}")
         ident, priority, owner, succ_text, label = m.groups()
-        succ = [int(p) for p in "".join(succ_text.split()).split(",") if p]
-        rows.append((int(ident), int(priority), int(owner), succ, label or ident))
-    if not rows:
+        try:
+            ids.append(int(ident))
+            priorities.append(int(priority))
+            succ_ids.append([int(p) for p in "".join(succ_text.split()).split(",") if p])
+        except ValueError:
+            raise ModelError(f"unparsable game row: {raw!r}") from None
+        owners.append(EXISTS if owner == "0" else FORALL)
+        labels.append(label or ident)
+    if not ids:
         raise ModelError("no positions in game file")
-    ids = [r[0] for r in rows]
-    if len(set(ids)) != len(ids):
-        raise ModelError("duplicate position ids in game file")
     index = {ident: i for i, ident in enumerate(ids)}
-    owners = []
-    priorities = []
+    if len(index) != len(ids):
+        raise ModelError("duplicate position ids in game file")
     successors = []
-    labels = []
-    for ident, priority, owner, succ, label in rows:
-        for u in succ:
-            if u not in index:
-                raise ModelError(f"position {ident} points at unknown position {u}")
-        owners.append(EXISTS if owner == 0 else FORALL)
-        priorities.append(priority)
-        successors.append(tuple(dict.fromkeys(index[u] for u in succ)))
-        labels.append(str(label))
+    for ident, succ in zip(ids, succ_ids):
+        try:
+            successors.append(tuple(dict.fromkeys([index[u] for u in succ])))
+        except KeyError as exc:
+            raise ModelError(f"position {ident} points at unknown position {exc.args[0]}") from None
     game = ParityGame(tuple(owners), tuple(priorities), tuple(successors), tuple(labels))
     return game, tuple(ids)

@@ -291,7 +291,7 @@ def loads_model(text: str) -> Model:
     """Parse a model from JSON text and validate it."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long for int()
         raise ModelError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ModelError("JSON nests too deeply") from exc
@@ -331,7 +331,7 @@ def loads_model(text: str) -> Model:
             }
             model = Ef(states, agents, effectivity, valuation, initial)
             errors = validate_ef(model)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model JSON: {exc!r}") from exc
     if errors:
         raise ModelError("\n".join(errors))

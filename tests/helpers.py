@@ -179,6 +179,15 @@ def random_parity_game(rng, max_positions=8, max_priority=3, max_degree=3):
     return ParityGame(owners, priorities, tuple(successors), labels)
 
 
+def one_state_frame(agents="2", count="1") -> str:
+    """JSON text of a one-state game frame, with the agent count and the
+    first agent's move count spliced in as written."""
+    return (
+        '{"kind": "cgf", "states": ["s"], "agents": %s, "moves": {"s": [%s, 1]},'
+        ' "transitions": {"s": {"1,1": "s"}}, "valuation": {"p": ["s"]}}' % (agents, count)
+    )
+
+
 @functools.cache
 def load_perfbench(name: str):
     """A module of perfbench/, which is not a package, loaded by its path

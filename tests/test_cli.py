@@ -19,6 +19,7 @@ from amcheck.cli import build_parser, main
 from amcheck.model import load_model, save_model
 from amcheck.benchgen import gen_castle, gen_modulo
 from amcheck.formula import MAX_DEPTH, coalitions_in, parse_formula
+from helpers import one_state_frame
 
 
 def run(capsys, *argv):
@@ -420,6 +421,42 @@ class TestSolveGame:
         for _ in range(3):
             assert run(capsys, "solve-game", "--in", str(path)) == (0, "0: Exists\n", "")
         assert built == []
+
+
+HUGE = "9" * 5000  # more digits than int() reads from text
+# (model text, formula text, game text, what the error line says) per input
+# holding a number no reader may crash on
+OVERSIZED_INPUTS = {
+    "formula-agent": (one_state_frame(), f"[{{{HUGE}}}] p", None, "1:3: agent id has too many digits"),
+    "agents-digits": (one_state_frame(agents=HUGE), "p", None, "not valid JSON"),
+    "agents-1e400": (one_state_frame(agents="1e400"), "p", None, "OverflowError"),
+    "moves-1e400": (one_state_frame(count="1e400"), "p", None, "OverflowError"),
+    "game-successor": (None, None, f"0 0 0 {HUGE};", "unparsable game row"),
+    "game-id": (None, None, f"{HUGE} 0 0 0;", "unparsable game row"),
+    "game-priority": (None, None, f"0 {HUGE} 0 0;", "unparsable game row"),
+}
+
+
+def test_one_state_frame_is_valid(capsys, tmp_path):
+    (tmp_path / "m.json").write_text(one_state_frame())
+    formula = write_formula(tmp_path, "p")
+    argv = ["check", "--model", str(tmp_path / "m.json"), "--formula", formula, "--engine", "cgf-local"]
+    assert run(capsys, *argv)[:2] == (0, "s\ttrue\n")
+
+
+@pytest.mark.parametrize("model, formula, game, says", OVERSIZED_INPUTS.values(), ids=list(OVERSIZED_INPUTS))
+def test_oversized_number_exits_3(capsys, tmp_path, model, formula, game, says):
+    if game is None:
+        (tmp_path / "m.json").write_text(model)
+        argv = ["check", "--model", str(tmp_path / "m.json"), "--formula", write_formula(tmp_path, formula),
+                "--engine", "cgf-local"]
+    else:
+        (tmp_path / "g.pg").write_text(game + "\n")
+        argv = ["solve-game", "--in", str(tmp_path / "g.pg")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
 
 
 def parse_csv(out):

@@ -124,8 +124,10 @@ class TestParseErrors:
             parse_formula("~true")
 
     def test_agent_id_expected(self):
-        with pytest.raises(ParseError, match="agent id"):
+        with pytest.raises(ParseError, match="^1:3: agent id expected$"):
             parse_formula("[{a}] p")
+        with pytest.raises(ParseError, match="^1:5: agent id expected$"):
+            parse_formula("[{1,")
 
     def test_unbound_variable(self):
         with pytest.raises(FormulaError, match="unbound variable X"):

@@ -442,6 +442,8 @@ class TestPgsolverFormat:
             import_pgsolver('0 0 0 0 "a";\n0 1 1 0 "b";\n')
         with pytest.raises(ModelError, match="points at unknown position"):
             import_pgsolver('0 0 0 0,9 "a";\n')
+        with pytest.raises(ModelError, match="^position 1 points at unknown position 9$"):
+            import_pgsolver('0 0 0 0;\n1 0 0 0,9,5;\n2 0 0 4;\n')
 
     # (row, (id, priority, owner, successor ids, label)) for one row placed
     # next to filler rows for the ids 1, 2 and 12 it may point at.
