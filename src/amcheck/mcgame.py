@@ -2,11 +2,14 @@
 
 A formula position is keyed (state, closure node id); a group position, where
 a modality's chosen joint move or effectivity set is resolved, is keyed
-(state, node id, group index) and reached only from its modal position, so
-only formula positions are looked up by key.  Exists wins an infinite play
-iff the highest priority seen infinitely often is even; a player who cannot
-move loses immediately.  Games are built reachably from the queried states
-and stay within |W| * |closure| * (|grand moves| + 1) positions.
+(state, node id, group index).  A modal position's group positions are
+numbered together and reached from it alone, so they are never looked up by
+key: the builder appends all their rows at the first of them, with one lookup
+per state they reach, and the others, built already, only poll the deadline.
+Exists wins an infinite play iff the highest priority seen infinitely often is
+even; a player who cannot move loses immediately.  Games are built reachably
+from the queried states and stay within |W| * |closure| * (|grand moves| + 1)
+positions.
 """
 
 from __future__ import annotations
@@ -88,7 +91,9 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
     Formula positions (state, node id) get their numbers through `index`.  A
     group position (state, node id, group index) is reached only from its
     modal position, which is processed once and numbers its groups
-    consecutively, so group positions stay out of `index`.
+    consecutively, so group positions stay out of `index`.  The block's rows
+    are all appended at its first key; its other keys, built by then, only
+    poll the deadline, which keeps one poll per position.
     """
     if states is None:
         states = list(model.states)
@@ -105,13 +110,27 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
     for key in keys:  # each row appends newly discovered keys behind this one
         if deadline is not None:
             deadline.check()
+        if len(key) == 3 and key[2]:  # a group position, built with its block's first
+            continue
         w, node = key[0], nodes[key[1]]
         kind = node.kind
         priority = 0
-        if len(key) == 3:  # a group position: pick a state the group reaches
-            _, reached = groups[w, node.coalition][key[2]]
-            owner = FORALL if kind == "enforce" else EXISTS
-            succ = [(v, node.children[0]) for v in reached]
+        if len(key) == 3:  # a block of group positions: pick a state the group reaches
+            child = node.children[0]
+            block = groups[w, node.coalition]
+            found = dict.fromkeys(itertools.chain.from_iterable([reached for _, reached in block]))
+            for v in found:  # each reached state, in order of first reach
+                k = (v, child)
+                u = index.get(k)
+                if u is None:
+                    u = index[k] = len(keys)
+                    keys.append(k)
+                found[v] = u
+            number = found.__getitem__  # one-state rows (all of a grand coalition's) skip dict.fromkeys: 3x cheaper
+            successors += [(number(r[0]),) if len(r) == 1 else tuple(map(number, dict.fromkeys(r))) for _, r in block]
+            owners += [FORALL if kind == "enforce" else EXISTS] * len(block)
+            priorities += [0] * len(block)
+            continue
         elif kind in ("enforce", "allows"):  # pick one of the coalition's groups
             at = (w, node.coalition)
             if at not in groups:

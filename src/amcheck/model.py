@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,12 +288,33 @@ def _listed(value) -> list:
     return value
 
 
+_JSON_TYPES = {bool: "a boolean", str: "a string", list: "an array", dict: "an object", type(None): "null"}
+
+
+def _count(value, field: str, *where) -> int:
+    """A count read from model JSON: a number with a whole value.  Anything
+    else raises ModelError naming the field, `field.format(*where)`."""
+    name = field.format(*where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{name} must be a whole number, not {_JSON_TYPES[type(value)]}")
+    try:
+        count = int(value)
+    except (OverflowError, ValueError) as exc:  # an infinity or a NaN
+        raise ModelError(f"{name} must be a whole number: {exc!r}") from None
+    if count != value:
+        raise ModelError(f"{name} must be a whole number, not {value!r}")
+    return count
+
+
 def loads_model(text: str) -> Model:
     """Parse a model from JSON text and validate it."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or a number too long for int()
+    except json.JSONDecodeError as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # the only other error: a number too long for int()
+        limit = sys.get_int_max_str_digits()
+        raise ModelError(f"not valid JSON: a number has more than {limit:,} digits") from exc
     except RecursionError as exc:
         raise ModelError("JSON nests too deeply") from exc
     if not isinstance(data, dict) or data.get("kind") not in ("cgf", "ef"):
@@ -300,7 +322,7 @@ def loads_model(text: str) -> Model:
     kind = data["kind"]
     try:
         states = tuple(str(w) for w in _listed(data["states"]))
-        agents = int(data["agents"])
+        agents = _count(data["agents"], '"agents"')
         valuation = {
             str(atom): frozenset(str(w) for w in _listed(holds))
             for atom, holds in data.get("valuation", {}).items()
@@ -310,7 +332,10 @@ def loads_model(text: str) -> Model:
             initial = str(initial)
         if kind == "cgf":
             move_counts = {
-                str(w): tuple(int(c) for c in _listed(counts))
+                str(w): tuple(
+                    c if type(c) is int else _count(c, '"moves" at state {} for agent {}', w, a)
+                    for a, c in enumerate(_listed(counts), 1)
+                )
                 for w, counts in data["moves"].items()
             }
             transitions = {

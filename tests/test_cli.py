@@ -457,6 +457,34 @@ def test_oversized_number_exits_3(capsys, tmp_path, model, formula, game, says):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert says in err
+    assert "set_int_max_str_digits" not in err  # no advice to change interpreter state
+
+
+# the agent count or the first agent's move count, as written in the JSON
+# text, and the error line a count that is not a whole number gives
+NOT_WHOLE_COUNTS = {
+    "agents-fraction": (dict(agents="2.5"), '"agents" must be a whole number, not 2.5'),
+    "agents-boolean": (dict(agents="true"), '"agents" must be a whole number, not a boolean'),
+    "agents-string": (dict(agents='"2"'), '"agents" must be a whole number, not a string'),
+    "moves-fraction": (dict(count="1.5"), '"moves" at state s for agent 1 must be a whole number, not 1.5'),
+    "moves-boolean": (dict(count="true"), '"moves" at state s for agent 1 must be a whole number, not a boolean'),
+    "moves-string": (dict(count='"1"'), '"moves" at state s for agent 1 must be a whole number, not a string'),
+}
+
+
+@pytest.mark.parametrize("fields, says", NOT_WHOLE_COUNTS.values(), ids=list(NOT_WHOLE_COUNTS))
+def test_count_that_is_not_a_whole_number_exits_3(capsys, tmp_path, fields, says):
+    (tmp_path / "m.json").write_text(one_state_frame(**fields))
+    argv = ["check", "--model", str(tmp_path / "m.json"), "--formula", write_formula(tmp_path, "p"),
+            "--engine", "cgf-local"]
+    assert run(capsys, *argv) == (3, "", f"error: {says}\n")
+
+
+def test_whole_counts_written_as_floats_are_read(capsys, tmp_path):
+    (tmp_path / "m.json").write_text(one_state_frame(agents="2.0", count="1.0"))
+    argv = ["check", "--model", str(tmp_path / "m.json"), "--formula", write_formula(tmp_path, "p"),
+            "--engine", "cgf-local"]
+    assert run(capsys, *argv)[:2] == (0, "s\ttrue\n")
 
 
 def parse_csv(out):

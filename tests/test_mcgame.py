@@ -128,6 +128,17 @@ class TestBuildEf:
         assert len(game) <= 3 * len(closure) * (2**3 + 1)
 
 
+# suite -> (generator, its arguments, whether games are built from the
+# initial state only rather than from every state)
+GAME_SUITES = {
+    "castle-n2-h1": (gen_castle, (2, 1), False),
+    "castle-n2-h1-initial": (gen_castle, (2, 1), True),
+    "modulo-a2-m3": (gen_modulo, (2, 3), False),
+    "modulo-a2-m3-initial": (gen_modulo, (2, 3), True),
+    # coalition {1}'s joint moves reach some states by several completions,
+    # and states reached by one joint move are reached by others too
+    "modulo-a3-m2": (gen_modulo, (3, 2), False),
+}
 # sha256 of the concatenated export_pgsolver texts of a suite's games, one per
 # formula in suite order, on the game frame ("cgf") and on its minimized
 # effectivity frame over all coalitions ("ef").
@@ -136,6 +147,12 @@ GAME_DIGESTS = {
     ("castle-n2-h1", "ef"): "91071a40dc488e809b495a6ded0ce0e56563c9a00503a6db247f5bb2c8173c53",
     ("modulo-a2-m3", "cgf"): "2933598cfb6f2be89882923af8881cab07fb8ab47c115f3a3eb0479d3693c846",
     ("modulo-a2-m3", "ef"): "0ff9680ae081513c47ac1d2156fb0d467a63113607063905bf90dda1274b213e",
+    ("castle-n2-h1-initial", "cgf"): "68373e48c2b9805b9b901907ee1f0c406378b52f007d6a61044389b069df2478",
+    ("castle-n2-h1-initial", "ef"): "11dce22e10ed0538d4969c3ee8574cae7bdd0cff8b5e361e7796ffb2565c3172",
+    ("modulo-a2-m3-initial", "cgf"): "99b682af2ad5c541c28085aa7ddfd9042f29cd8e5529ac236b83e483b9a637ba",
+    ("modulo-a2-m3-initial", "ef"): "1362eb4e60444a1b21bc8eea714524ada7f0272db9d669e26905fd009976c6de",
+    ("modulo-a3-m2", "cgf"): "38eb64a66eb22e92b925e9af5128db9b870e1a121605b1f5855c3bc64497f132",
+    ("modulo-a3-m2", "ef"): "2b1e5e141811979b83b39f3c6841bf3119c9648923e76da674d15f6e1d491db8",
 }
 
 
@@ -158,11 +175,13 @@ class TestLabels:
 
     @pytest.mark.parametrize("suite,kind", sorted(GAME_DIGESTS))
     def test_built_games_keep_their_text(self, suite, kind):
-        frame, formulas = gen_castle(2, 1) if suite.startswith("castle") else gen_modulo(2, 3)
+        generate, args, initial_only = GAME_SUITES[suite]
+        frame, formulas = generate(*args)
         model = frame if kind == "cgf" else convert(frame, minimize_families=True)
+        states = [model.initial] if initial_only else None
         digest = hashlib.sha256()
         for _, f in formulas:
-            digest.update(export_pgsolver(build_game(model, build_closure(f))[0]).encode())
+            digest.update(export_pgsolver(build_game(model, build_closure(f), states)[0]).encode())
         assert digest.hexdigest() == GAME_DIGESTS[suite, kind]
 
     def test_round_trip_gives_back_built_labels(self, smallgame, smallgame_min_ef):
