@@ -2,14 +2,12 @@
 
 A formula position is keyed (state, closure node id); a group position, where
 a modality's chosen joint move or effectivity set is resolved, is keyed
-(state, node id, group index).  A modal position's group positions are
-numbered together and reached from it alone, so they are never looked up by
-key: the builder appends all their rows at the first of them, with one lookup
-per state they reach, and the others, built already, only poll the deadline.
-Exists wins an infinite play iff the highest priority seen infinitely often is
-even; a player who cannot move loses immediately.  Games are built reachably
-from the queried states and stay within |W| * |closure| * (|grand moves| + 1)
-positions.
+(state, node id, group index) and reached only from its modal position, so
+only formula positions are looked up by key, and all of a modal position's
+group rows are appended at its first group key.  Exists wins an infinite play
+iff the highest priority seen infinitely often is even; a player who cannot
+move loses immediately.  Games are built reachably from the queried states
+and stay within |W| * |closure| * (|grand moves| + 1) positions.
 """
 
 from __future__ import annotations
@@ -116,17 +114,15 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
         kind = node.kind
         priority = 0
         if len(key) == 3:  # a block of group positions: pick a state the group reaches
-            child = node.children[0]
-            block = groups[w, node.coalition]
-            found = dict.fromkeys(itertools.chain.from_iterable([reached for _, reached in block]))
+            child, block = node.children[0], groups[w, node.coalition]
+            found = dict.fromkeys(itertools.chain.from_iterable(reached for _, reached in block))
             for v in found:  # each reached state, in order of first reach
                 k = (v, child)
-                u = index.get(k)
-                if u is None:
-                    u = index[k] = len(keys)
+                found[v] = index.get(k)
+                if found[v] is None:
+                    found[v] = index[k] = len(keys)
                     keys.append(k)
-                found[v] = u
-            number = found.__getitem__  # one-state rows (all of a grand coalition's) skip dict.fromkeys: 3x cheaper
+            number = found.__getitem__  # a one-state row (a grand coalition's) skips dict.fromkeys: 4x cheaper
             successors += [(number(r[0]),) if len(r) == 1 else tuple(map(number, dict.fromkeys(r))) for _, r in block]
             owners += [FORALL if kind == "enforce" else EXISTS] * len(block)
             priorities += [0] * len(block)

@@ -293,17 +293,22 @@ _JSON_TYPES = {bool: "a boolean", str: "a string", list: "an array", dict: "an o
 
 def _count(value, field: str, *where) -> int:
     """A count read from model JSON: a number with a whole value.  Anything
-    else raises ModelError naming the field, `field.format(*where)`."""
-    name = field.format(*where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelError(f"{name} must be a whole number, not {_JSON_TYPES[type(value)]}")
-    try:
-        count = int(value)
-    except (OverflowError, ValueError) as exc:  # an infinity or a NaN
-        raise ModelError(f"{name} must be a whole number: {exc!r}") from None
-    if count != value:
-        raise ModelError(f"{name} must be a whole number, not {value!r}")
-    return count
+    else raises ModelError naming the field, `field.format(*where)`, which is
+    formatted only then."""
+    if type(value) is int:  # not a bool, which subclasses int
+        return value
+    if type(value) is float:
+        try:
+            count = int(value)
+        except (OverflowError, ValueError) as exc:  # an infinity or a NaN
+            why = f": {exc!r}"
+        else:
+            if count == value:
+                return count
+            why = f", not {value!r}"
+    else:
+        why = f", not {_JSON_TYPES[type(value)]}"
+    raise ModelError(f"{field.format(*where)} must be a whole number{why}")
 
 
 def loads_model(text: str) -> Model:
@@ -333,8 +338,7 @@ def loads_model(text: str) -> Model:
         if kind == "cgf":
             move_counts = {
                 str(w): tuple(
-                    c if type(c) is int else _count(c, '"moves" at state {} for agent {}', w, a)
-                    for a, c in enumerate(_listed(counts), 1)
+                    _count(c, '"moves" at state {} for agent {}', w, a) for a, c in enumerate(_listed(counts), 1)
                 )
                 for w, counts in data["moves"].items()
             }
