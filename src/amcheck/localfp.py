@@ -7,7 +7,10 @@ one-step function maps the levels to the masks justified by them:
 propositional nodes combine their children, a fixpoint node of priority i
 reads its body at level i, and modal nodes quantify over the outcome groups
 of the model (one per joint move on a game frame, one per listed set on an
-effectivity frame).  Levels alternate greatest (even) and least (odd)
+effectivity frame).  One scan decides both: ``[C] x`` holds where some
+group lies inside x, and its dual ``<C> x`` where ``[C]`` fails on the
+complement of x over all the model's states; either way every group of every
+state is scanned.  Levels alternate greatest (even) and least (odd)
 fixpoints, innermost first.  Each level keeps its value across the whole
 evaluation (Emerson and Lei's warm start): when a level moves, only the inner
 levels of the other parity go back to their extremes, and the inner levels
@@ -42,16 +45,18 @@ class _Stepper:
     Bits index ``model.states``; only the nodes' values at ``states`` are
     computed, the other bits stay 0.  Statics (truth constants and literals)
     are evaluated once; every modal node keeps, per state, the mask of the
-    reached states of each of the model's outcome groups.  Then enforce holds
-    where some group ``g`` has ``g & x == g`` and allows where every group has
-    ``g & x != 0``, with ``x`` the child's mask.  A modal node whose child
-    mask equals the one of its last evaluation, in this call or an earlier
-    one, is skipped: it keeps the mask that evaluation gave.  An evaluated
-    node scans every group with no early exit, so what it costs depends only
-    on the move structure of the model, never on the argument; timings
-    therefore track model growth and the number of input changes rather than
-    verdict patterns.  With ``modal=False`` the modal clauses are left out
-    entirely.
+    reached states of each of the model's outcome groups.  One scan finds the
+    states where some group ``g`` has ``g & y == g``: enforce holds there for
+    ``y = x``, the child's mask, and allows holds at the other states of
+    ``domain`` for ``y = full ^ x``, the complement over all model states (the
+    groups reach states outside ``states``).  A modal node whose child mask
+    equals the one of its last evaluation, in this call or an earlier one, is
+    skipped: it keeps the mask that evaluation gave.  An evaluated node of
+    either kind scans every group with no early exit, so what it costs
+    depends only on the move structure of the model, never on the argument;
+    timings therefore track model growth and the number of input changes
+    rather than verdict patterns.  With ``modal=False`` the modal clauses are
+    left out entirely.
 
     A call sweeps the nodes in ascending id order.  Non-binder children are
     read from ``children`` when it is given (the Jacobi step), otherwise from
@@ -63,6 +68,7 @@ class _Stepper:
         self.states = tuple(states)
         check_states(model, self.states)
         self.domain = self.mask(self.states)
+        self.full = self.mask(model.states)
         self.size = len(closure.nodes)
         self.statics = [0] * self.size
         self.ops: list[tuple] = []
@@ -103,7 +109,7 @@ class _Stepper:
     def __call__(self, xvec, children=None) -> list[int]:
         out = list(self.statics)
         read = out if children is None else children
-        domain = self.domain
+        domain, full = self.domain, self.full
         seen, memo = self.seen, self.memo
         for op, nid, a, b in self.ops:
             if op == _AND:
@@ -117,24 +123,16 @@ class _Stepper:
             else:
                 # Scans run to completion: no early exit once a quantifier settles.
                 x = read[a]
+                y = x if op == _ENFORCE else full ^ x
                 value = 0
-                if op == _ENFORCE:
-                    for bit, groups in b:
-                        ok = False
-                        for g in groups:
-                            if g & x == g:
-                                ok = True
-                        if ok:
-                            value |= bit
-                else:
-                    for bit, groups in b:
-                        ok = True
-                        for g in groups:
-                            if not g & x:
-                                ok = False
-                        if ok:
-                            value |= bit
-                out[nid] = memo[nid] = value
+                for bit, groups in b:
+                    ok = False
+                    for g in groups:
+                        if g & y == g:
+                            ok = True
+                    if ok:
+                        value |= bit
+                out[nid] = memo[nid] = value if op == _ENFORCE else domain ^ value
                 seen[nid] = x
         return out
 

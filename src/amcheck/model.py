@@ -145,21 +145,28 @@ MAX_LISTED_MISSING = 1000
 many; beyond it, one line gives their number."""
 
 
-def validate_cgf(g: Cgf) -> list[str]:
-    """All structural defects, each with its location; empty means valid."""
+def _header_errors(m: Model, state_set: set[str]) -> list[str]:
+    """Defects of what both frame kinds share: the agent count, the states,
+    the initial state and the valuation."""
     errors: list[str] = []
-    if g.agents < 1:
-        errors.append(f"agent count must be at least 1, got {g.agents}")
-    if not g.states:
+    if m.agents < 1:
+        errors.append(f"agent count must be at least 1, got {m.agents}")
+    if not m.states:
         errors.append("state set is empty")
-    if len(set(g.states)) != len(g.states):
+    if len(state_set) != len(m.states):
         errors.append("duplicate state ids")
-    state_set = set(g.states)
-    if g.initial is not None and g.initial not in state_set:
-        errors.append(f"initial state {g.initial} is not a state")
-    for atom, holds in g.valuation.items():
+    if m.initial is not None and m.initial not in state_set:
+        errors.append(f"initial state {m.initial} is not a state")
+    for atom, holds in m.valuation.items():
         for w in sorted(set(holds) - state_set):
             errors.append(f"valuation of {atom} mentions unknown state {w}")
+    return errors
+
+
+def validate_cgf(g: Cgf) -> list[str]:
+    """All structural defects, each with its location; empty means valid."""
+    state_set = set(g.states)
+    errors = _header_errors(g, state_set)
     for w in g.states:
         counts = g.move_counts.get(w)
         if counts is None:
@@ -218,19 +225,8 @@ def validate_cgf(g: Cgf) -> list[str]:
 
 
 def validate_ef(e: Ef) -> list[str]:
-    errors: list[str] = []
-    if e.agents < 1:
-        errors.append(f"agent count must be at least 1, got {e.agents}")
-    if not e.states:
-        errors.append("state set is empty")
-    if len(set(e.states)) != len(e.states):
-        errors.append("duplicate state ids")
     state_set = set(e.states)
-    if e.initial is not None and e.initial not in state_set:
-        errors.append(f"initial state {e.initial} is not a state")
-    for atom, holds in e.valuation.items():
-        for w in sorted(set(holds) - state_set):
-            errors.append(f"valuation of {atom} mentions unknown state {w}")
+    errors = _header_errors(e, state_set)
     for w in set(e.effectivity) - state_set:
         errors.append(f"effectivity given for unknown state {w}")
     for w, per_state in e.effectivity.items():

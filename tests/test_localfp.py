@@ -11,6 +11,7 @@ from amcheck.benchgen import gen_modulo, gen_random_cgf, gen_random_formula
 from amcheck.convert import convert, minimize
 from amcheck.errors import CheckTimeout, ModelError
 from amcheck.mcgame import game_verdicts
+from amcheck.model import Ef
 from amcheck.localfp import (
     _Stepper,
     fixpoint_extension,
@@ -171,6 +172,45 @@ class TestOneStepEf:
             assert one_step(plain, closure, plain.states, vec) == one_step(
                 small, closure, small.states, vec
             )
+
+
+class TestAllowsIsDual:
+    """``<C> x`` is evaluated as ``[C]`` failing on the complement of x."""
+
+    @pytest.mark.parametrize("frame", ["cgf", "ef"])
+    def test_one_step_on_a_subset_matches_reference(self, frame):
+        # The subset's groups reach states outside it, so the complement must
+        # be taken over all the model's states, not over the subset.
+        for seed in range(6):
+            model = gen_random_cgf(8, 2, 2, ("p",), seed=seed)
+            if frame == "ef":
+                model = convert(model)
+            subset = model.states[:3]
+            for coalition in ("{}", "{1}", "{2}", "{1,2}"):
+                f = parse_formula(f"<{coalition}> p")
+                closure = build_closure(f)
+                vec = empty_vec(closure)
+                p = node_id(closure, "atom", atom="p")
+                vec[0] = {(w, p) for w in model.atom_states("p")}
+                out = one_step(model, closure, subset, vec)
+                expected = naive_extension(model, f) & set(subset)
+                assert {w for w, nid in out if nid == closure.root} == expected, (seed, coalition)
+
+    def test_empty_family(self):
+        # A state whose family is empty: no group to force with, and none
+        # that misses the goal.
+        ef = Ef(
+            ("s", "t"),
+            1,
+            {"s": {(1,): ()}, "t": {(1,): (frozenset({"t"}),)}},
+            {"p": frozenset({"t"})},
+        )
+        for text, holds in (("<{1}> p", True), ("[{1}] p", False)):
+            f = parse_formula(text)
+            closure = build_closure(f)
+            assert ("s" in naive_extension(ef, f)) is holds
+            assert fixpoint_verdicts(ef, closure, ["s"]) == {"s": holds}
+            assert game_verdicts(ef, closure, ["s"]) == {"s": holds}
 
 
 class TestNestedFixpoint:

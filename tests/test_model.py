@@ -14,6 +14,7 @@ from amcheck.formula import format_coalition
 from amcheck.model import (
     MAX_LISTED_MISSING,
     Cgf,
+    Ef,
     canonical_family,
     format_grand,
     load_model,
@@ -115,6 +116,33 @@ class TestEffectivityGroups:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("kind", ["cgf", "ef"])
+    def test_header_lines(self, kind):
+        # Both frame kinds check the agent count, the states, the initial
+        # state and the valuation first, with the same lines in this order.
+        validate = validate_cgf if kind == "cgf" else validate_ef
+
+        def frame(states, initial):
+            valuation = {"p": frozenset({"w9", "w8"}), "q": frozenset({"w1"})}
+            if kind == "cgf":
+                return Cgf(states, 0, {}, {}, valuation, initial)
+            return Ef(states, 0, {}, valuation, initial)
+
+        assert validate(frame((), "w9")) == [
+            "agent count must be at least 1, got 0",
+            "state set is empty",
+            "initial state w9 is not a state",
+            "valuation of p mentions unknown state w8",
+            "valuation of p mentions unknown state w9",
+            "valuation of q mentions unknown state w1",
+        ]
+        assert validate(frame(("w1", "w2", "w1"), "w2"))[:4] == [
+            "agent count must be at least 1, got 0",
+            "duplicate state ids",
+            "valuation of p mentions unknown state w8",
+            "valuation of p mentions unknown state w9",
+        ]
+
     def test_missing_transition(self, smallgame):
         broken = loads_model(model_to_json(smallgame))
         del broken.transitions["w1"][(1, 1, 1)]
