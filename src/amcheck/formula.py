@@ -10,10 +10,19 @@ where atoms start with a lowercase letter, variables with an uppercase one,
 ``&`` binds tighter than ``|``, and modalities and fixpoint binders extend
 maximally to the right.  The parser rejects formulas nested deeper than
 ``MAX_DEPTH`` levels.
+
+Reading a formula is one scan of its text and two walks of its tree.  The
+text is split into tokens by regular expressions, with no Python work per
+token, and a recursive descent builds the tree; ``parse_formula`` then checks
+the tree and ``build_closure`` numbers its closure.  Both run the same
+depth-bounded walk (``_scan``), the one place that computes free variables,
+binder priorities and the first defect, so ``validate_formula``,
+``free_vars`` and ``fixpoint_priorities`` answer from it as well.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,49 +121,163 @@ def _subterms(f: Formula):
         stack.extend(reversed(_children(t)))
 
 
+MAX_DEPTH = 100
+"""Deepest formula the parser accepts: no path from the root of the syntax
+tree to a leaf passes more than MAX_DEPTH nodes, and no leaf of the text sits
+inside more than MAX_DEPTH - 1 pairs of parentheses (parentheses build no
+node).  Deeper input raises ParseError, and validate_formula, build_closure,
+format_formula, free_vars and fixpoint_priorities reject deeper trees built in
+code with FormulaError.  The limit keeps the recursive parser and the
+recursive walks over the tree (checking and closure building, formatting)
+well inside Python's recursion limit; the counting walks and coalitions_in
+use no recursion and answer at any depth."""
+
+_TOO_DEEP = f"formula nests deeper than {MAX_DEPTH} levels"
+_NO_VARS: frozenset[str] = frozenset()
+
+
+@dataclass
+class _Scan:
+    """What the one walk over a tree found; see _scan."""
+
+    free: frozenset[str]
+    priorities: dict[str, int]
+    defect: str | None
+    records: list[list]
+    root: int
+
+
+def _coalition_defect(coalition) -> str | None:
+    if coalition and min(coalition) < 1:
+        return f"agent ids must be positive: {coalition}"
+    if tuple(sorted(set(coalition))) != coalition:
+        return f"coalition not strictly ascending: {coalition}"
+    return None
+
+
+def _scan(f: Formula, closure: bool = False) -> _Scan:
+    """The one walk behind validate_formula, free_vars, fixpoint_priorities
+    and build_closure.  It visits every subterm occurrence once, children
+    left to right, and raises FormulaError on reaching level MAX_DEPTH + 1,
+    so its recursion stays bounded.  It finds
+
+    - the free variables: those with an occurrence outside every binder of
+      their name;
+    - the priority of each binder's variable (see fixpoint_priorities);
+    - the first defect other than a free variable, in preorder: a coalition
+      with an agent below 1 or not strictly ascending, or a variable bound a
+      second time anywhere in the tree;
+    - with ``closure``, the closure records (kind, atom, coalition,
+      children, priority, term) in node-id order, and the root's id (see
+      build_closure).  A variable without a binder in scope points at id -1.
+    """
+    records: list[list] = []
+    shared: dict[tuple, int] = {}
+    env: dict[str, int] = {}  # variable -> node id of the binder in scope
+    bound: set[str] = set()  # variables bound so far
+    # variable -> highest priority of a finished binder the variable is free
+    # in; a binder resets its own variable's entry while it walks its body.
+    need: dict[str, int] = {}
+    priorities: dict[str, int] = {}
+    defect: str | None = None
+
+    def node(key: tuple, t: Formula) -> int:
+        if not closure:
+            return 0
+        nid = shared.get(key)
+        if nid is None:
+            nid = shared[key] = len(records)
+            records.append([*key, 0, t])
+        return nid
+
+    def visit(t: Formula, depth: int) -> tuple[frozenset[str], int]:
+        nonlocal defect
+        if depth > MAX_DEPTH:
+            raise FormulaError(_TOO_DEEP)
+        cls = type(t)
+        if cls is Var:
+            return frozenset((t.name,)), env.get(t.name, -1)
+        if cls is Atom:
+            return _NO_VARS, node(("atom", t.name, None, ()), t)
+        if cls is And or cls is Or:
+            left_free, left = visit(t.left, depth + 1)
+            right_free, right = visit(t.right, depth + 1)
+            free = left_free | right_free if left_free and right_free else left_free or right_free
+            return free, node(("and" if cls is And else "or", None, None, (left, right)), t)
+        if cls is Enforce or cls is Allows:
+            coalition = t.coalition
+            problem = _coalition_defect(coalition)
+            if problem:
+                defect = defect or problem
+                coalition = None  # the key must hash; the walk's caller raises anyway
+            free, arg = visit(t.arg, depth + 1)
+            return free, node(("enforce" if cls is Enforce else "allows", None, coalition, (arg,)), t)
+        if cls is Mu or cls is Nu:
+            # fixpoints are never shared: a clean formula binds each variable once
+            x = t.var
+            if x in bound:
+                defect = defect or f"variable {x} bound twice"
+            bound.add(x)
+            nid = len(records)
+            records.append(None)
+            outer_binder, outer_need = env.get(x), need.get(x, 0)
+            env[x], need[x] = nid, 0
+            body_free, body = visit(t.body, depth + 1)
+            dominated = need[x]
+            need[x] = max(outer_need, dominated)
+            if outer_binder is None:
+                del env[x]
+            else:
+                env[x] = outer_binder
+            priority = dominated if dominated % 2 == (cls is Mu) else dominated + 1
+            priorities[x] = priority
+            free = body_free - {x} if x in body_free else body_free
+            for v in free:
+                if need.get(v, 0) < priority:
+                    need[v] = priority
+            records[nid] = ["mu" if cls is Mu else "nu", None, None, (body,), priority, t]
+            return free, nid
+        if cls is NegAtom:
+            return _NO_VARS, node(("negatom", t.name, None, ()), t)
+        if cls is Top:
+            return _NO_VARS, node(("top", None, None, ()), t)
+        if cls is Bot:
+            return _NO_VARS, node(("bot", None, None, ()), t)
+        raise TypeError(f"not a formula: {t!r}")
+
+    free, root = visit(f, 1)
+    return _Scan(free, priorities, defect, records, root)
+
+
+def _checked_scan(f: Formula, closure: bool = False) -> _Scan:
+    scan = _scan(f, closure)
+    if scan.free:
+        raise FormulaError(f"unbound variable {min(scan.free)}")
+    if scan.defect:
+        raise FormulaError(scan.defect)
+    return scan
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     """Variables with an occurrence outside every binder of their name.
     Trees deeper than MAX_DEPTH raise FormulaError."""
-    _check_depth(f)
-    return _free_vars(f)
-
-
-def _free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    free = frozenset().union(*map(_free_vars, _children(f)))
-    return free - {f.var} if isinstance(f, (Mu, Nu)) else free
-
-
-def _check_depth(f: Formula) -> None:
-    """Reject a tree with a root-to-leaf path of more than MAX_DEPTH nodes.
-    The walk goes one level at a time without recursion, so a tree of any
-    depth is safe to check, and it stops at level MAX_DEPTH + 1."""
-    level = [f]
-    for _ in range(MAX_DEPTH):
-        level = [child for t in level for child in _children(t)]
-        if not level:
-            return
-    raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+    return _scan(f).free
 
 
 def validate_formula(f: Formula) -> None:
-    """Reject formulas nested deeper than MAX_DEPTH, and open or unclean
-    ones (every variable bound at most once)."""
-    free = free_vars(f)
-    if free:
-        raise FormulaError(f"unbound variable {sorted(free)[0]}")
-    seen: set[str] = set()
-    for t in _subterms(f):
-        if isinstance(t, (Enforce, Allows)):
-            if any(a < 1 for a in t.coalition):
-                raise FormulaError(f"agent ids must be positive: {t.coalition}")
-            if tuple(sorted(set(t.coalition))) != t.coalition:
-                raise FormulaError(f"coalition not strictly ascending: {t.coalition}")
-        elif isinstance(t, (Mu, Nu)):
-            if t.var in seen:
-                raise FormulaError(f"variable {t.var} bound twice")
-            seen.add(t.var)
+    """Reject, in this order of precedence, formulas nested deeper than
+    MAX_DEPTH, open ones (naming the least unbound variable), and ones with
+    a coalition not of positive agents in strictly ascending order or a
+    variable bound twice (naming the first such defect in preorder)."""
+    _checked_scan(f)
+
+
+def fixpoint_priorities(f: Formula) -> dict[str, int]:
+    """Priority per binder: the least value of the right parity (even for nu,
+    odd for mu) that dominates every fixpoint subformula still mentioning the
+    binder's variable.  Cleanness makes the variable name a valid key.
+    Trees deeper than MAX_DEPTH raise FormulaError."""
+    return _scan(f).priorities
 
 
 def connective_count(f: Formula) -> int:
@@ -185,11 +308,12 @@ def format_formula(f: Formula) -> str:
     and a tree within MAX_DEPTH prints within the parser's limit on open
     parentheses.  Trees deeper than MAX_DEPTH raise FormulaError.
     """
-    _check_depth(f)
-    return _format(f)
+    return _format(f, 1)
 
 
-def _format(f: Formula) -> str:
+def _format(f: Formula, depth: int) -> str:
+    if depth > MAX_DEPTH:
+        raise FormulaError(_TOO_DEEP)
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bot):
@@ -200,52 +324,42 @@ def _format(f: Formula) -> str:
         return "~" + f.name
     if isinstance(f, Var):
         return f.name
+    depth += 1
     if isinstance(f, (And, Or)):
         op = "&" if isinstance(f, And) else "|"
-        left = _format(f.left)
+        left = _format(f.left, depth)
         if isinstance(f.left, _PREFIX):
             left = "(" + left + ")"
-        return f"({left} {op} {_format(f.right)})"
+        return f"({left} {op} {_format(f.right, depth)})"
     if isinstance(f, Enforce):
-        return f"[{format_coalition(f.coalition)}] {_format(f.arg)}"
+        return f"[{format_coalition(f.coalition)}] {_format(f.arg, depth)}"
     if isinstance(f, Allows):
-        return f"<{format_coalition(f.coalition)}> {_format(f.arg)}"
+        return f"<{format_coalition(f.coalition)}> {_format(f.arg, depth)}"
     if isinstance(f, Mu):
-        return f"mu {f.var}. {_format(f.body)}"
-    return f"nu {f.var}. {_format(f.body)}"
+        return f"mu {f.var}. {_format(f.body, depth)}"
+    return f"nu {f.var}. {_format(f.body, depth)}"
 
 
 _KEYWORDS = {"true", "false", "mu", "nu"}
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[&|~\[\]<>{}(),.]")
-_SPACE = re.compile(r"[ \t\r\n]*")
-
-
-MAX_DEPTH = 100
-"""Deepest formula the parser accepts: no path from the root of the syntax
-tree to a leaf passes more than MAX_DEPTH nodes, and no leaf of the text sits
-inside more than MAX_DEPTH - 1 pairs of parentheses (parentheses build no
-node).  Deeper input raises ParseError, and validate_formula, build_closure,
-format_formula, free_vars and fixpoint_priorities reject deeper trees built in
-code with FormulaError.  The limit keeps the recursive parser and the
-recursive passes over the tree (free variables, priorities, closure building,
-formatting) well inside Python's recursion limit; the counting walks and
-coalitions_in use no recursion and answer at any depth."""
+# Whitespace and tokens from the start of the text; a match stops at the
+# first character that can neither be skipped nor start a token.
+_TOKENS_AND_SPACE = re.compile(rf"(?:[ \t\r\n]+|{_TOKEN.pattern})*")
 
 
 class _Parser:
+    """Recursive descent over the token texts.  The token list ends in None,
+    so reading the current token needs no bounds check; token offsets are
+    only worked out when an error needs a position."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, int]] = []  # (lexeme, offset)
-        pos = 0
-        while True:
-            pos = _SPACE.match(text, pos).end()
-            if pos >= len(text):
-                break
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", *self._linecol(pos))
-            self.tokens.append((m.group(), pos))
-            pos = m.end()
+        end = _TOKENS_AND_SPACE.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", *self._linecol(end))
+        self.tokens: list[str | None] = _TOKEN.findall(text)
+        self.count = len(self.tokens)
+        self.tokens.append(None)
         self.i = 0
         self.parens = 0  # parentheses being parsed
         self.prefixes = 0  # modalities and binders being parsed
@@ -256,21 +370,21 @@ class _Parser:
         return line, col
 
     def _fail(self, message: str) -> None:
-        offset = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+        if self.i < self.count:
+            offset = next(itertools.islice(_TOKEN.finditer(self.text), self.i, None)).start()
+        else:
+            offset = len(self.text)
         raise ParseError(message, *self._linecol(offset))
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
     def take(self) -> str:
-        if self.i >= len(self.tokens):
+        tok = self.tokens[self.i]
+        if tok is None:
             self._fail("unexpected end of input")
-        tok = self.tokens[self.i][0]
         self.i += 1
         return tok
 
     def expect(self, lexeme: str) -> None:
-        if self.peek() != lexeme:
+        if self.tokens[self.i] != lexeme:
             self._fail(f"expected {lexeme!r}")
         self.i += 1
 
@@ -280,35 +394,51 @@ class _Parser:
         already exceed the limit; failing before the inside is parsed keeps
         the parser's recursion bounded."""
         if count >= MAX_DEPTH:
-            self._fail(f"formula nests deeper than {MAX_DEPTH} levels")
+            self._fail(_TOO_DEEP)
 
     def _deeper(self, depth: int) -> int:
         """Depth of one more level over a subformula of the given depth."""
         if depth >= MAX_DEPTH:
-            self._fail(f"formula nests deeper than {MAX_DEPTH} levels")
+            self._fail(_TOO_DEEP)
         return depth + 1
 
-    # Every method returns the parsed subformula and its depth.
+    # Both methods return the parsed subformula and its depth.
 
     def formula(self) -> tuple[Formula, int]:
-        left, depth = self.conjunction()
-        while self.peek() == "|":
+        """A disjunction of conjunctions of units, both operators associating
+        to the left.  Each node is built, and its depth checked, on reaching
+        the token after its right operand."""
+        tokens = self.tokens
+        disjunction = disjunction_depth = None  # the disjuncts before f
+        f, depth = self.unit()
+        while True:
+            tok = tokens[self.i]
+            if tok == "&":
+                self.i += 1
+                right, right_depth = self.unit()
+                f, depth = And(f, right), self._deeper(max(depth, right_depth))
+                continue
+            if disjunction is not None:
+                f, depth = Or(disjunction, f), self._deeper(max(disjunction_depth, depth))
+            if tok != "|":
+                return f, depth
             self.i += 1
-            right, right_depth = self.conjunction()
-            left, depth = Or(left, right), self._deeper(max(depth, right_depth))
-        return left, depth
+            disjunction, disjunction_depth = f, depth
+            f, depth = self.unit()
 
-    def conjunction(self) -> tuple[Formula, int]:
-        left, depth = self.prefixed()
-        while self.peek() == "&":
+    def unit(self) -> tuple[Formula, int]:
+        """A modality, binder, parenthesized formula, literal or variable."""
+        tok = self.tokens[self.i]
+        if tok is None:
+            self._fail("unexpected end of input")
+        first = tok[0]
+        if first.islower() and tok not in _KEYWORDS:
             self.i += 1
-            right, right_depth = self.prefixed()
-            left, depth = And(left, right), self._deeper(max(depth, right_depth))
-        return left, depth
-
-    def prefixed(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok in ("[", "<"):
+            return Atom(tok), 1
+        if first.isupper():
+            self.i += 1
+            return Var(tok), 1
+        if tok == "[" or tok == "<":
             self.prefixes += 1
             self._check_open(self.prefixes)
             self.i += 1
@@ -318,7 +448,7 @@ class _Parser:
             self.prefixes -= 1
             modality = Enforce if tok == "[" else Allows
             return modality(coalition, arg), self._deeper(depth)
-        if tok in ("mu", "nu"):
+        if tok == "mu" or tok == "nu":
             self.prefixes += 1
             self._check_open(self.prefixes)
             self.i += 1
@@ -330,12 +460,6 @@ class _Parser:
             self.prefixes -= 1
             binder = Mu if tok == "mu" else Nu
             return binder(var, body), self._deeper(depth)
-        return self.atomic()
-
-    def atomic(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok is None:
-            self._fail("unexpected end of input")
         if tok == "(":
             self.parens += 1
             self._check_open(self.parens)
@@ -356,20 +480,14 @@ class _Parser:
         if tok == "false":
             self.i += 1
             return Bot(), 1
-        if tok[0].isupper():
-            self.i += 1
-            return Var(tok), 1
-        if tok[0].islower() and tok not in _KEYWORDS:
-            self.i += 1
-            return Atom(tok), 1
         self._fail(f"unexpected token {tok!r}")
 
     def coalition(self) -> tuple[int, ...]:
         self.expect("{")
         agents: list[int] = []
-        if self.peek() != "}":
+        if self.tokens[self.i] != "}":
             while True:
-                tok = self.peek() or ""  # read before taking, so errors point at it
+                tok = self.tokens[self.i] or ""  # read before taking, so errors point at it
                 if not tok.isdigit():
                     self._fail("agent id expected")
                 try:
@@ -377,7 +495,7 @@ class _Parser:
                 except ValueError:  # more digits than int() reads
                     self._fail("agent id has too many digits")
                 self.i += 1
-                if self.peek() != ",":
+                if self.tokens[self.i] != ",":
                     break
                 self.i += 1
         self.expect("}")
@@ -388,38 +506,10 @@ def parse_formula(text: str) -> Formula:
     """Parse a closed, clean formula; raise ParseError/FormulaError otherwise."""
     parser = _Parser(text)
     f, _ = parser.formula()
-    if parser.i < len(parser.tokens):
+    if parser.i < parser.count:
         parser._fail("trailing input after formula")
     validate_formula(f)
     return f
-
-
-def fixpoint_priorities(f: Formula) -> dict[str, int]:
-    """Priority per binder: the least value of the right parity (even for nu,
-    odd for mu) that dominates every fixpoint subformula still mentioning the
-    binder's variable.  Cleanness makes the variable name a valid key.
-    Trees deeper than MAX_DEPTH raise FormulaError."""
-    _check_depth(f)
-    priorities: dict[str, int] = {}
-
-    def walk(t: Formula) -> tuple[frozenset[str], list[tuple[int, frozenset[str]]]]:
-        if isinstance(t, Var):
-            return frozenset((t.name,)), []
-        free, below = frozenset(), []  # (priority, free variables) per binder below
-        for child in _children(t):
-            child_free, child_below = walk(child)
-            free, below = free | child_free, below + child_below
-        if isinstance(t, (Mu, Nu)):
-            dominated = max((p for p, fv in below if t.var in fv), default=0)
-            want_odd = isinstance(t, Mu)
-            prio = dominated if dominated % 2 == int(want_odd) else dominated + 1
-            priorities[t.var] = prio
-            free = free - {t.var}
-            below = below + [(prio, free)]
-        return free, below
-
-    walk(f)
-    return priorities
 
 
 @dataclass(frozen=True)
@@ -456,41 +546,9 @@ class ClosureGraph:
 
 
 def build_closure(f: Formula) -> ClosureGraph:
-    validate_formula(f)
-    priorities = fixpoint_priorities(f)
-    records: list[list] = []  # kind, atom, coalition, children, priority, term
-    shared: dict[tuple, int] = {}
-
-    def node(t: Formula, kind: str, atom=None, coalition=None, children=()) -> int:
-        key = (kind, atom, coalition, children)
-        if key not in shared:
-            shared[key] = len(records)
-            records.append([kind, atom, coalition, children, 0, t])
-        return shared[key]
-
-    def go(t: Formula, env: dict[str, int]) -> int:
-        if isinstance(t, Var):
-            return env[t.name]
-        if isinstance(t, Top):
-            return node(t, "top")
-        if isinstance(t, Bot):
-            return node(t, "bot")
-        if isinstance(t, Atom):
-            return node(t, "atom", t.name)
-        if isinstance(t, NegAtom):
-            return node(t, "negatom", t.name)
-        if isinstance(t, (And, Or)):
-            kind = "and" if isinstance(t, And) else "or"
-            return node(t, kind, children=(go(t.left, env), go(t.right, env)))
-        if isinstance(t, (Enforce, Allows)):
-            kind = "enforce" if isinstance(t, Enforce) else "allows"
-            return node(t, kind, coalition=t.coalition, children=(go(t.arg, env),))
-        # fixpoints are never shared: a clean formula binds each variable once
-        nid = len(records)
-        records.append(["mu" if isinstance(t, Mu) else "nu", None, None, (), priorities[t.var], t])
-        records[nid][3] = (go(t.body, {**env, t.var: nid}),)
-        return nid
-
-    root = go(f, {})
-    nodes = tuple(ClosureNode(*record) for record in records)
-    return ClosureGraph(nodes=nodes, root=root, max_priority=max(n.priority for n in nodes))
+    """The closure of a formula that validate_formula accepts, raising what
+    it raises otherwise.  Non-binder nodes are numbered after their children
+    and a binder before its body, so every non-binder's children come first."""
+    scan = _checked_scan(f, closure=True)
+    nodes = tuple(ClosureNode(*record) for record in scan.records)
+    return ClosureGraph(nodes=nodes, root=scan.root, max_priority=max(scan.priorities.values(), default=0))

@@ -178,9 +178,9 @@ def validate_cgf(g: Cgf) -> list[str]:
         for a, c in enumerate(counts, start=1):
             if c < 1:
                 errors.append(f"m({w},{a})={c}: every agent needs at least one move at every state")
-    for w in set(g.move_counts) - state_set:
+    for w in sorted(set(g.move_counts) - state_set):
         errors.append(f"move counts given for unknown state {w}")
-    for w in set(g.transitions) - state_set:
+    for w in sorted(set(g.transitions) - state_set):
         errors.append(f"transitions given for unknown state {w}")
     for w in g.states:
         counts = g.move_counts.get(w)
@@ -227,7 +227,7 @@ def validate_cgf(g: Cgf) -> list[str]:
 def validate_ef(e: Ef) -> list[str]:
     state_set = set(e.states)
     errors = _header_errors(e, state_set)
-    for w in set(e.effectivity) - state_set:
+    for w in sorted(set(e.effectivity) - state_set):
         errors.append(f"effectivity given for unknown state {w}")
     for w, per_state in e.effectivity.items():
         for coalition, family in per_state.items():
@@ -246,19 +246,38 @@ def validate_ef(e: Ef) -> list[str]:
     return errors
 
 
-@functools.lru_cache(maxsize=4096)
 def _grand_from_text(key: str) -> tuple[int, ...] | None:
     """The grand move a key names, or None if it is not digits joined by
-    commas.  Cached, so a key repeated across states is parsed once."""
+    commas."""
     parts = key.split(",")
     return tuple(int(p) for p in parts) if all(p.isdigit() for p in parts) else None
 
 
-def _parse_grand_key(key: str, state: str) -> tuple[int, ...]:
-    grand = _grand_from_text(key)
-    if grand is None:
-        raise ModelError(f"bad grand move key {key!r} at state {state}")
-    return grand
+@functools.lru_cache(maxsize=256)
+def _grand_row(keys: tuple[str, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """The grand moves a row of key texts names, in row order, or None if a
+    key is bad.  Cached, so a row repeated across states, as the rows of
+    states with equal move counts are in a file written by model_to_json,
+    is parsed once; up to 256 rows stay cached."""
+    grands = tuple(map(_grand_from_text, keys))
+    return None if None in grands else grands
+
+
+def _transition_table(table: dict, state: str) -> dict[tuple[int, ...], str]:
+    """A state's transitions keyed by grand move; a bad key raises
+    ModelError naming it and the state."""
+    table.items()  # a table that is not a JSON object raises AttributeError here
+    keys = tuple(table)
+    grands = _grand_row(keys)
+    if grands is None:
+        bad = next(k for k in keys if _grand_from_text(k) is None)
+        raise ModelError(f"bad grand move key {bad!r} at state {state}")
+    targets = list(table.values())
+    try:
+        "".join(targets)  # passes when every target is a string, as JSON state ids are
+    except TypeError:
+        targets = list(map(str, targets))
+    return dict(zip(grands, targets))
 
 
 def _parse_coalition_key(key: str, where: str) -> tuple[int, ...]:
@@ -338,10 +357,7 @@ def loads_model(text: str) -> Model:
                 )
                 for w, counts in data["moves"].items()
             }
-            transitions = {
-                str(w): {_parse_grand_key(k, w): str(v) for k, v in table.items()}
-                for w, table in data["transitions"].items()
-            }
+            transitions = {str(w): _transition_table(table, w) for w, table in data["transitions"].items()}
             model: Model = Cgf(states, agents, move_counts, transitions, valuation, initial)
             errors = validate_cgf(model)
         else:

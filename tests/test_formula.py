@@ -1,5 +1,7 @@
 """Parser, printer, closure graph, and priority assignment."""
 
+import hashlib
+
 import pytest
 
 from amcheck import (
@@ -29,6 +31,7 @@ from amcheck.formula import (
     validate_formula,
 )
 from amcheck.benchgen import gen_random_formula
+from helpers import load_perfbench
 
 
 class TestParse:
@@ -158,6 +161,27 @@ class TestParseErrors:
         with pytest.raises(FormulaError, match="positive"):
             parse_formula("[{0}] p")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("Z | Y", "unbound variable Y"),
+            ("Y | (mu X. X) | mu X. X", "unbound variable Y"),
+            ("(mu X. X) | (mu X. X) | Y", "unbound variable Y"),
+            ("[{0}] Y & mu X. mu X. X", "unbound variable Y"),
+            ("[{0}] p & (mu X. X) & mu X. X", "agent ids must be positive: (0,)"),
+            ("(mu X. X) & (mu X. X) & [{0}] p", "variable X bound twice"),
+            ("mu X. [{0}] mu X. X", "agent ids must be positive: (0,)"),
+            ("mu X. mu X. [{0}] X", "variable X bound twice"),
+        ],
+    )
+    def test_precedence_of_defects(self, text, message):
+        # unbound variables first (the least name), then the first other
+        # defect in preorder
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+        assert not isinstance(exc.value, ParseError)
+
 
 def _left_and_chain(n):
     f = Atom("p")
@@ -207,6 +231,16 @@ class TestInCodeDepth:
         for depth in (MAX_DEPTH + 1, 5000):
             with pytest.raises(FormulaError, match=f"formula nests deeper than {MAX_DEPTH} levels"):
                 walk(shape(depth))
+
+    @pytest.mark.parametrize(
+        "walk", [validate_formula, build_closure, free_vars, fixpoint_priorities],
+        ids=["validate", "closure", "free-vars", "priorities"],
+    )
+    def test_depth_before_other_defects(self, walk):
+        # an unbound Y, X bound twice and agent 0, all above level MAX_DEPTH
+        f = Mu("X", Mu("X", Enforce((0,), Or(Var("Y"), _left_and_chain(MAX_DEPTH - 2)))))
+        with pytest.raises(FormulaError, match=f"^formula nests deeper than {MAX_DEPTH} levels$"):
+            walk(f)
 
     # (connective_count, syntactic_size, coalitions_in) of each shape at depth n
     @pytest.mark.parametrize(
@@ -259,6 +293,20 @@ class TestHelpers:
     def test_free_vars(self):
         f = Mu("X", Or(Var("X"), Var("Y")))
         assert free_vars(f) == frozenset({"Y"})
+
+    @pytest.mark.parametrize(
+        "f,free,priorities",
+        [
+            (Mu("X", Or(Var("Y"), Enforce((1,), Var("X")))), {"Y"}, {"X": 1}),
+            (Nu("Y", Mu("X", And(Var("Z"), Or(Var("Y"), Enforce((1,), Var("X")))))), {"Z"}, {"X": 1, "Y": 2}),
+            (Mu("X", Nu("Y", And(Var("W"), Var("X")))), {"W"}, {"Y": 0, "X": 1}),
+            (And(Nu("X", Var("X")), Or(Var("X"), Mu("Y", Var("Z")))), {"X", "Z"}, {"X": 0, "Y": 1}),
+            (Or(Var("X"), Var("X")), {"X"}, {}),
+        ],
+    )
+    def test_open_formulas(self, f, free, priorities):
+        assert free_vars(f) == frozenset(free)
+        assert fixpoint_priorities(f) == priorities
 
     def test_connective_count(self):
         assert connective_count(parse_formula("p")) == 0
@@ -410,3 +458,32 @@ class TestPriorities:
             prios = fixpoint_priorities(f)
             for outer, inner in dependent_pairs(f, []):
                 assert prios[outer] >= prios[inner]
+
+
+# Closure node ids set game position numbers and exported game text, so the
+# numbering is pinned: sha256 over (kind, atom, coalition, children, priority)
+# of every node and then the root, per formula in suite order, of the closure
+# of the formula's printed text read back.
+CLOSURE_DIGESTS = {
+    "castle": "83d6b0407467ad120263ec76d20647badda9233ab02e530c2687d570c8b160b1",
+    "modulo": "6970fc9b0ecacd9012ff58f048344bd3123eb3ef9b8150c173fce4ae1b68d0f1",
+    "ladder": "3cd0ac05d53c50791a9177e1f6fdff4531007a09ec7fef4275ac28877e1a2d27",
+    "random": "707f92589becab52bc816faba3b370df1d6115794d991e8dfafca844dc5950a1",
+}
+
+
+class TestClosureNumbering:
+    @pytest.mark.parametrize("suite", sorted(CLOSURE_DIGESTS))
+    def test_closure_digest(self, suite):
+        if suite == "random":
+            formulas = [gen_random_formula(4 + seed % 40, 3, ("p", "q", "r"), seed) for seed in range(200)]
+        else:  # perfbench's suites
+            instances = load_perfbench("workloads").instances(suite)
+            formulas = [f for inst in instances for _, f in inst.formulas]
+        digest = hashlib.sha256()
+        for f in formulas:
+            closure = build_closure(parse_formula(format_formula(f)))
+            for n in closure.nodes:
+                digest.update(repr((n.kind, n.atom, n.coalition, n.children, n.priority)).encode())
+            digest.update(repr(("root", closure.root)).encode())
+        assert digest.hexdigest() == CLOSURE_DIGESTS[suite]

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -371,18 +375,28 @@ def _defect_file(table):
 
 class TestLoader:
     @pytest.mark.parametrize("family", ["castle", "modulo"])
-    def test_each_key_text_is_parsed_once(self, family):
+    def test_each_key_row_is_parsed_once(self, family):
         model = FAMILIES[family]()
         text = model_to_json(model)
-        tables = json.loads(text)["transitions"].values()
-        keys = [k for table in tables for k in table]
-        amcheck.model._grand_from_text.cache_clear()
+        rows = [tuple(table) for table in json.loads(text)["transitions"].values()]
+        amcheck.model._grand_row.cache_clear()
         loaded = loads_model(text)
-        info = amcheck.model._grand_from_text.cache_info()
-        assert info.misses == len(set(keys)) < len(keys)
-        assert info.hits == len(keys) - len(set(keys))
+        info = amcheck.model._grand_row.cache_info()
+        assert info.misses == len(set(rows)) < len(rows)
+        assert info.hits == len(rows) - len(set(rows))
         assert loaded.transitions == model.transitions
         assert model_to_json(loaded) == text
+
+    def test_repeated_bad_row_names_its_state(self):
+        amcheck.model._grand_row.cache_clear()
+        for state in ("a", "b", "a"):
+            text = json.dumps({
+                "kind": "cgf", "agents": 2, "states": [state], "valuation": {},
+                "moves": {state: [2, 1]}, "transitions": {state: {"1,1": state, "1,x": state}},
+            })
+            with pytest.raises(ModelError) as exc:
+                loads_model(text)
+            assert str(exc.value) == f"bad grand move key '1,x' at state {state}"
 
     def test_huge_and_zero_counts_enumerate_nothing(self, monkeypatch):
         def product(*ranges):
@@ -447,3 +461,27 @@ class TestRoundTripAndOrder:
         for w in model.states:
             for coalition in coalitions:
                 assert model.groups(w, coalition) == _naive_groups(model, w, coalition)
+
+
+class TestStrayStates:
+    def test_unknown_state_lines_sorted_under_any_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED; the error text must not
+        script = (
+            "from amcheck.model import Cgf, Ef, validate_cgf, validate_ef\n"
+            "stray = ('x2', 'x3', 'x1')\n"
+            "g = Cgf(('a',), 1, {'a': (1,), **dict.fromkeys(stray, (1,))},\n"
+            "        {'a': {(1,): 'a'}, **{w: {} for w in stray}}, {})\n"
+            "e = Ef(('a',), 1, {'a': {(1,): (frozenset('a'),)}, **{w: {} for w in stray}}, {})\n"
+            "print('\\n'.join(validate_cgf(g) + validate_ef(e)))\n"
+        )
+        src = str(Path(amcheck.__file__).resolve().parent.parent)
+        expected = "".join(
+            f"{what} given for unknown state x{i}\n"
+            for what in ("move counts", "transitions", "effectivity") for i in (1, 2, 3)
+        )
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert run.stdout == expected
