@@ -148,6 +148,7 @@ def gen_castle(castles: int, hp: int) -> tuple[Cgf, list[tuple[str, Formula]]]:
 
     move_counts = {}
     transitions = {}
+    ids = dict(zip(configs, names))  # every successor configuration is a state
     for w in names:
         config = by_name[w]
         menus = [agent_moves(config, a) for a in range(1, agents + 1)]
@@ -172,7 +173,7 @@ def gen_castle(castles: int, hp: int) -> tuple[Cgf, list[tuple[str, Formula]]]:
                 else:
                     new_ready = True
                 new_config.append((new_ready, new_points))
-            table[grand] = _castle_id(tuple(new_config))
+            table[grand] = ids[tuple(new_config)]
         transitions[w] = table
     valuation = {
         f"lost{a}": frozenset(w for w in names if by_name[w][a - 1][1] == 0)
@@ -207,12 +208,14 @@ def gen_modulo(agents: int, n_moves: int, base: int = 10) -> tuple[Cgf, list[tup
         raise ValueError("need at least one agent, one move, and two residues")
     names = tuple(str(i) for i in range(base))
     move_counts = {w: tuple([n_moves] * agents) for w in names}
-    transitions = {}
-    for w in names:
-        table = {}
-        for grand in itertools.product(*(range(1, n_moves + 1) for _ in range(agents))):
-            table[grand] = str((int(w) + sum(grand)) % base)
-        transitions[w] = table
+    moves = range(1, n_moves + 1)
+    sums = [sum(grand) for grand in itertools.product(moves, repeat=agents)]
+    # Every table gets key tuples of its own, as a frame read from a file
+    # has; tables sharing one tuple per grand move look up measurably faster.
+    transitions = {
+        w: dict(zip(itertools.product(moves, repeat=agents), [names[(i + s) % base] for s in sums]))
+        for i, w in enumerate(names)
+    }
     valuation = {f"p{i}": frozenset((str(i),)) for i in range(base)}
     g = Cgf(names, agents, move_counts, transitions, valuation, initial="0")
 

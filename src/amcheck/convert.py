@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ModelError
-from .model import Cgf, Ef, canonical_family
+from .model import CanonicalFamily, Cgf, Ef, canonical_family
 
 MAX_TABLE_ENTRIES = 1 << 18
 """Most (state, coalition) entries a conversion over every coalition may
@@ -57,12 +57,20 @@ def induced_effectivity(g: Cgf, coalitions=None, deadline=None) -> Ef:
 
 
 def minimal_sets(family) -> tuple[frozenset[str], ...]:
-    """Subset-minimal members of a family, canonically ordered."""
+    """Subset-minimal members of a family, canonically ordered.  In that
+    order two distinct sets of one size never contain each other, so each
+    set is compared only with the kept sets of smaller size.  A family that
+    is canonical already, as every family of a loaded or induced frame is,
+    is not sorted again."""
     keep: list[frozenset[str]] = []
+    smaller: list[frozenset[str]] = []
+    size = 0
     for u in canonical_family(family):
-        if not any(v <= u for v in keep):
+        if len(u) != size:
+            size, smaller = len(u), keep[:]
+        if not any(map(u.issuperset, smaller)):
             keep.append(u)
-    return tuple(keep)
+    return CanonicalFamily(keep)
 
 
 def minimize(e: Ef) -> Ef:

@@ -7,13 +7,15 @@ only formula positions are looked up by key, and all of a modal position's
 group rows are appended at its first group key.  Exists wins an infinite play
 iff the highest priority seen infinitely often is even; a player who cannot
 move loses immediately.  Games are built reachably from the queried states
-and stay within |W| * |closure| * (|grand moves| + 1) positions.
+and stay within |W| * |closure| * (|grand moves| + 1) positions; a check
+stops building once finite plays decide every queried state.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -78,7 +80,95 @@ class _Labels(Sequence):
         return f"{w},{node.label},{{{' '.join(reached)}}}"  # an effectivity set
 
 
-def build_game(model, closure: ClosureGraph, states=None, deadline=None):
+class _Finite:
+    """The winners that finite plays decide, kept up as a game grows.
+
+    A dead end is lost by its owner, and a position whose only successor is
+    itself is won by its priority's parity.  A position goes to its owner
+    once one of its successors is won by the owner, and to the opponent once
+    all of them are won by the opponent.  Each `extend` takes the rows built
+    since the last one, so a game can be decided while it is built; what
+    stays open after the last row is won by neither player on a finite play,
+    and every open position keeps an open successor.
+
+    `owners` has one entry per row taken so far, the other lists one per
+    position numbered so far.  Owners and winners are 0 (Exists) and 1
+    (Forall), and -1 marks an open position.  `move` holds the winner's
+    attracting move where the winner owns a decided position.
+    `predecessors[u]` lists each position v with an edge to u that was taken
+    while u was open, once per edge, and `escapes[v]` counts an open
+    position's successors not yet won by its opponent; an open position's
+    predecessor list is therefore complete in its open predecessors, which
+    is all Zielonka reads of it.
+    """
+
+    def __init__(self):
+        self.owners: list[int] = []
+        self.winners: list[int] = []
+        self.move: list[int] = []
+        self.predecessors: list[list[int]] = []
+        self.escapes: list[int] = []
+
+    def decided(self, positions) -> bool:
+        """Whether finite plays decide every one of the positions."""
+        winners = self.winners
+        return all(winners[v] >= 0 for v in positions)
+
+    def extend(self, owners, priorities, successors, positions: int) -> None:
+        """Take rows len(self.owners) .. len(successors)-1, whose successors
+        lie below `positions`, and decide what they let finite plays decide."""
+        grow = positions - len(self.winners)
+        self.winners += [-1] * grow
+        self.move += [-1] * grow
+        self.escapes += [0] * grow
+        self.predecessors += [[] for _ in range(grow)]
+        own, winners, move, escapes, predecessors = self.owners, self.winners, self.move, self.escapes, self.predecessors
+        start = len(own)
+        own += [0 if o == EXISTS else 1 for o in owners[start:len(successors)]]
+
+        def decide(v, player, to):
+            """Player wins v, moving to `to` if player owns v; then every
+            open predecessor that this decides, transitively."""
+            winners[v] = player
+            move[v] = to
+            queue = [v]
+            for t in queue:  # the loop also visits what it appends
+                for u in predecessors[t]:
+                    if winners[u] >= 0:
+                        continue
+                    if own[u] == player:
+                        move[u] = t
+                    elif escapes[u] > 1:
+                        escapes[u] -= 1
+                        continue
+                    winners[u] = player
+                    queue.append(u)
+
+        for v in range(start, len(successors)):
+            row = successors[v]
+            owner = own[v]
+            if len(row) == 1 and row[0] == v:
+                player = priorities[v] & 1
+                decide(v, player, v if player == owner else -1)
+                continue
+            left = len(row)
+            for u in row:
+                won = winners[u]
+                if won < 0:
+                    predecessors[u].append(v)
+                elif won == owner:
+                    decide(v, owner, u)
+                    break
+                else:
+                    left -= 1
+            else:
+                if left:
+                    escapes[v] = left
+                else:
+                    decide(v, 1 - owner, -1)
+
+
+def build_game(model, closure: ClosureGraph, states=None, deadline=None, until_decided=False):
     """Game over either frame kind; returns (game, root index per state).
 
     Modal positions branch on the coalition's outcome groups (its joint moves
@@ -92,6 +182,13 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
     consecutively, so group positions stay out of `index`.  The block's rows
     are all appended at its first key; its other keys, built by then, only
     poll the deadline, which keeps one poll per position.
+
+    With `until_decided`, the build also decides what finite plays decide
+    (see `_Finite`), at checkpoints of 64, 128, 256, ... built rows, and
+    stops at the first one where every root is decided; it returns (game,
+    roots, finite), where the game holds the rows built so far, whose
+    successors may point past its end.  A build that is not stopped is
+    finished, fully decided as far as finite plays go, and returned whole.
     """
     if states is None:
         states = list(model.states)
@@ -105,9 +202,19 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
     successors: list[tuple[int, ...]] = []
     nodes = closure.nodes
     groups: dict = {}  # (state, coalition) -> the model's outcome groups
+    distinct = isinstance(model, Ef)  # reached lists are sorted sets
+    finite = _Finite() if until_decided else None
+    # Doubling checkpoints take each row once in all, in a few calls; a game
+    # of fewer than 64 positions is decided once, when it is whole.
+    checkpoint = 64 if until_decided else sys.maxsize
     for key in keys:  # each row appends newly discovered keys behind this one
         if deadline is not None:
             deadline.check()
+        if len(successors) >= checkpoint:
+            finite.extend(owners, priorities, successors, len(keys))
+            if finite.decided(roots.values()):
+                break
+            checkpoint *= 2
         if len(key) == 3 and key[2]:  # a group position, built with its block's first
             continue
         w, node = key[0], nodes[key[1]]
@@ -122,8 +229,13 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
                 if found[v] is None:
                     found[v] = index[k] = len(keys)
                     keys.append(k)
-            number = found.__getitem__  # a one-state row (a grand coalition's) skips dict.fromkeys: 4x cheaper
-            successors += [(number(r[0]),) if len(r) == 1 else tuple(map(number, dict.fromkeys(r))) for _, r in block]
+            number = found.__getitem__
+            # A one-state row (a grand coalition's) is mapped directly, 4x
+            # cheaper; only a game frame's rows can repeat a state.
+            successors += [
+                (number(r[0]),) if len(r) == 1 else tuple(map(number, r if distinct else dict.fromkeys(r)))
+                for _, r in block
+            ]
             owners += [FORALL if kind == "enforce" else EXISTS] * len(block)
             priorities += [0] * len(block)
             continue
@@ -156,8 +268,10 @@ def build_game(model, closure: ClosureGraph, states=None, deadline=None):
         owners.append(owner)
         priorities.append(priority)
         successors.append(tuple(dict.fromkeys(row)))
+    if finite is not None:  # rows since the last checkpoint, if the build was not stopped
+        finite.extend(owners, priorities, successors, len(keys))
     game = ParityGame(tuple(owners), tuple(priorities), tuple(successors), _Labels(keys, nodes, groups))
-    return game, roots
+    return (game, roots) if finite is None else (game, roots, finite)
 
 
 # game_verdicts looks the builder up under one name per frame kind, so that
@@ -242,11 +356,13 @@ def _components(region, d, stamp, inn, successors, seen, index, low):
     return components
 
 
-def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
+def zielonka_solve(game: ParityGame, deadline=None, finite=None) -> Solution:
     """Zielonka's attractor decomposition over strongly connected components.
 
-    Positions where the owner is stuck are handed to the opponent up front
-    (with their attractors), so the core left is total.  `solve(region)`
+    What finite plays decide goes to its winner up front (see `_Finite`),
+    so the core left is total.  A builder that decided it already hands it
+    over as `finite`, whose rows the solver then takes over; otherwise it is
+    computed here.  `solve(region)`
     splits its subgame into strongly connected components and handles them
     bottom-up: the positions of a component that are not decided yet form a
     closed subgame, which the loop below solves, and the regions the two
@@ -273,14 +389,11 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
     n = len(game)
     successors = game.successors
     priorities = game.priorities
-    owners = [0 if o == EXISTS else 1 for o in game.owners]
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    for v, row in enumerate(successors):
-        for u in row:
-            predecessors[u].append(v)
-    inn = [1] * n
-    winners = [0] * n
-    move = [-1] * n
+    if finite is None:
+        finite = _Finite()
+        finite.extend(game.owners, priorities, successors, n)
+    owners, winners, move, predecessors = finite.owners, finite.winners, finite.move, finite.predecessors
+    inn = [1 if w < 0 else 0 for w in winners]
     # scratch rows, valid where stamped with the current call's stamp:
     # attractor marks and Tarjan visits, escape counts, Tarjan numbering
     mark = [0] * n
@@ -297,14 +410,6 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
         for v in _attract(targets, d, player, next(stamps), *rows):
             winners[v] = player
             inn[v] = d - 1
-
-    # Only a dead end can be stuck: a position whose successors all fall
-    # into one player's attractor is attracted itself.
-    dead = [v for v in range(n) if not successors[v]]
-    for player in (0, 1):
-        stuck = [v for v in dead if owners[v] != player]
-        if stuck:
-            win(stuck, 1, player)
 
     def loop(sub, d, split):
         while sub:
@@ -367,13 +472,15 @@ def zielonka_solve(game: ParityGame, deadline=None) -> Solution:
 def game_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> dict[str, bool]:
     """Winner of (state, root) for each requested state, Exists meaning true."""
     if isinstance(model, Cgf):
-        game, roots = build_game_cgf(model, closure, states, deadline)
+        game, roots, finite = build_game_cgf(model, closure, states, deadline, until_decided=True)
     elif isinstance(model, Ef):
-        game, roots = build_game_ef(model, closure, states, deadline)
+        game, roots, finite = build_game_ef(model, closure, states, deadline, until_decided=True)
     else:
         raise ModelError(f"not a model: {model!r}")
-    solution = zielonka_solve(game, deadline)
-    return {w: solution.winners[idx] == EXISTS for w, idx in roots.items()}
+    if finite.decided(roots.values()):
+        return {w: finite.winners[v] == 0 for w, v in roots.items()}
+    solution = zielonka_solve(game, deadline, finite)
+    return {w: solution.winners[v] == EXISTS for w, v in roots.items()}
 
 
 def export_pgsolver(game: ParityGame) -> str:

@@ -133,11 +133,22 @@ def format_grand(grand: tuple[int, ...]) -> str:
     return ",".join(str(m) for m in grand)
 
 
+class CanonicalFamily(tuple):
+    """A family known to be in canonical order, as `canonical_family` gives
+    it; a tuple in every other respect.  Sets and tuples are immutable, so
+    the order holds for the object's whole life."""
+
+    __slots__ = ()
+
+
 def canonical_family(sets) -> tuple[frozenset[str], ...]:
     """Deduplicate and order a family by set size, then lexicographically on
-    the sorted state ids."""
+    the sorted state ids.  A family that is a CanonicalFamily already is
+    returned as it is."""
+    if type(sets) is CanonicalFamily:
+        return sets
     unique = {frozenset(u) for u in sets}
-    return tuple(sorted(unique, key=lambda u: (len(u), sorted(u))))
+    return CanonicalFamily(sorted(unique, key=lambda u: (len(u), sorted(u))))
 
 
 MAX_LISTED_MISSING = 1000
@@ -392,6 +403,24 @@ def load_model(path) -> Model:
     return loads_model(read_text(path))
 
 
+@functools.lru_cache(maxsize=256)
+def _key_texts(counts: tuple[int, ...]) -> tuple[str, ...]:
+    """The key text of every grand move of a move-count vector, in
+    lexicographic order; up to 256 vectors stay cached."""
+    return tuple(map(format_grand, _joint_moves(counts, ())[0][1]))
+
+
+def _table_json(table: dict, counts: tuple[int, ...]) -> dict[str, str]:
+    """A state's transitions keyed by key text, in sorted grand-move order.
+    A table that holds exactly the admissible grand moves takes its keys
+    from the cached texts of its move counts, which are in that order."""
+    if table and len(table) == math.prod(counts) and all(c >= 1 for c in counts):
+        grands = _joint_moves(counts, ())[0][1]
+        if all(map(table.__contains__, grands)):
+            return dict(zip(_key_texts(counts), map(table.__getitem__, grands)))
+    return {format_grand(grand): table[grand] for grand in sorted(table)}
+
+
 def model_to_json(model: Model) -> str:
     """Deterministic serialization: fixed key order, sorted sets, newline end."""
     obj: dict = {"kind": model.kind, "agents": model.agents, "states": list(model.states)}
@@ -403,11 +432,7 @@ def model_to_json(model: Model) -> str:
     if isinstance(model, Cgf):
         obj["moves"] = {w: list(model.move_counts[w]) for w in model.states}
         obj["transitions"] = {
-            w: {
-                format_grand(grand): model.transitions[w][grand]
-                for grand in sorted(model.transitions.get(w, {}))
-            }
-            for w in model.states
+            w: _table_json(model.transitions.get(w, {}), tuple(model.move_counts[w])) for w in model.states
         }
     else:
         obj["effectivity"] = {

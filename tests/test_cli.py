@@ -385,6 +385,13 @@ class TestGeneratorArguments:
         assert "Traceback" not in run.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_no_states_message(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "random", "--states", "0", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error: need at least one state, one agent and one move" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolveGame:
     def test_trivial_game(self, capsys, tmp_path):

@@ -108,6 +108,16 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unexpected end of input"):
             parse_formula("p &")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [(")", "1:1: unexpected token ')'"), ("~", "1:2: unexpected end of input")],
+        ids=["close-paren", "bare-negation"],
+    )
+    def test_lone_token_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
     def test_trailing_input(self):
         with pytest.raises(ParseError, match="trailing input"):
             parse_formula("p q")

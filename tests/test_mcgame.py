@@ -7,10 +7,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amcheck.formula
+import amcheck.mcgame
 from helpers import brute_force_solve, random_parity_game, strategy_defects
-from amcheck import build_closure, convert, gen_castle, gen_modulo, parse_formula
+from amcheck import build_closure, convert, fixpoint_verdicts, gen_castle, gen_modulo, parse_formula
+from amcheck.benchgen import gen_random_cgf, gen_random_formula
 from amcheck.errors import CheckTimeout, ModelError
 from amcheck.timing import Deadline
 from amcheck.mcgame import (
@@ -415,6 +419,104 @@ class TestSolveDeadline:
     def test_generous_deadline_is_harmless(self):
         game = random_parity_game(random.Random(3), 40, 6)
         assert zielonka_solve(game, PollBudget(10**6)) == zielonka_solve(game)
+
+
+def full_game_winner(model, closure, w) -> bool:
+    """The winner of w's root in the whole game, solved with nothing handed
+    over from the build."""
+    game, roots = build_game(model, closure)
+    return zielonka_solve(game).winners[roots[w]] == EXISTS
+
+
+class CountingSolver:
+    """zielonka_solve, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return zielonka_solve(*args)
+
+
+class TestEarlyStop:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 10))
+    def test_single_state_verdicts_match_full_game(self, model_seed, formula_seed, size):
+        atoms = ("p", "q")
+        frame = gen_random_cgf(5, 2, 2, atoms, model_seed)
+        closure = build_closure(gen_random_formula(size, 2, atoms, formula_seed))
+        for model in (frame, convert(frame, minimize_families=True)):
+            expected = fixpoint_verdicts(model, closure)
+            for w in model.states:
+                assert game_verdicts(model, closure, [w]) == {w: expected[w]}
+                assert full_game_winner(model, closure, w) == expected[w]
+
+    @pytest.mark.parametrize(
+        "text,state,solved",
+        [
+            ("p", "w1", False),  # the root is a dead end its owner loses
+            ("q", "w3", False),  # the root loops on itself
+            ("mu X. q | [{1,3}] X", "w1", False),  # reached through a modality
+            ("nu X. [{1,3}] X", "w1", True),  # only infinite plays: never decided
+            ("mu X. [{1,2}] X", "w2", True),
+        ],
+        ids=["dead-end", "self-loop", "attracted", "infinite-nu", "infinite-mu"],
+    )
+    def test_roots_decided_by_finite_plays_skip_zielonka(self, smallgame, text, state, solved, monkeypatch):
+        closure = build_closure(parse_formula(text))
+        solver = CountingSolver()
+        monkeypatch.setattr(amcheck.mcgame, "zielonka_solve", solver)
+        verdict = game_verdicts(smallgame, closure, [state])
+        assert solver.calls == solved
+        assert verdict == {state: full_game_winner(smallgame, closure, state)}
+
+    def test_handed_over_solution_is_certified(self):
+        # a build that leaves a root open runs to the end and hands the whole
+        # game and what finite plays decided in it to the solver
+        handed = 0
+        for seed in range(40):
+            model = gen_random_cgf(12, 2, 2, ("p", "q"), seed)
+            closure = build_closure(gen_random_formula(3 + seed % 9, 2, ("p", "q"), seed + 1))
+            game, roots, finite = build_game(model, closure, until_decided=True)
+            if finite.decided(roots.values()):
+                continue
+            handed += 1
+            assert all(u < len(game) for row in game.successors for u in row)
+            solution = zielonka_solve(game, None, finite)
+            assert solution.winners == zielonka_solve(game).winners
+            assert strategy_defects(game, solution) == []
+        assert handed >= 10
+
+    def test_castle_build_stops_before_the_full_game(self, monkeypatch):
+        # the smallest castle whose survive-a1 finite plays decide: on two
+        # castles agent 1 survives, which only an infinite play shows
+        model, formulas = gen_castle(3, 1)
+        closure = build_closure(dict(formulas)["survive-a1"])
+        full, _ = build_game(model, closure, [model.initial])
+        assert all(u < len(full) for row in full.successors for u in row)
+        part, roots, finite = build_game(model, closure, [model.initial], until_decided=True)
+        assert len(part) < len(full)
+        assert finite.decided(roots.values())
+        solver = CountingSolver()
+        monkeypatch.setattr(amcheck.mcgame, "zielonka_solve", solver)
+        verdict = game_verdicts(model, closure, [model.initial])
+        assert solver.calls == 0
+        assert verdict == {model.initial: full_game_winner(model, closure, model.initial)}
+
+    def test_deadline_fires_in_a_build_that_stops_early(self):
+        model, formulas = gen_castle(3, 1)
+        closure = build_closure(dict(formulas)["survive-a1"])
+        part, _, _ = build_game(model, closure, [model.initial], until_decided=True)
+        polls = PollBudget(10**6)
+        game_verdicts(model, closure, [model.initial], deadline=polls)
+        used = 10**6 - polls.left
+        assert len(part) <= used < len(build_game(model, closure, [model.initial])[0])
+        game_verdicts(model, closure, [model.initial], deadline=PollBudget(used))
+        with pytest.raises(CheckTimeout):
+            game_verdicts(model, closure, [model.initial], deadline=PollBudget(used // 2))
+        with pytest.raises(CheckTimeout):
+            game_verdicts(model, closure, [model.initial], deadline=Deadline(-1.0))
 
 
 class TestPgsolverFormat:

@@ -462,6 +462,24 @@ class TestRoundTripAndOrder:
             for coalition in coalitions:
                 assert model.groups(w, coalition) == _naive_groups(model, w, coalition)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("table", ["exact", "missing-and-extra"])
+    def test_text_matches_sorted_key_formatting(self, family, table):
+        # the text is the one every table got from sorting and formatting its
+        # own keys, also for a table that misses one grand move and has one
+        # extra key, so that its size still matches its move counts
+        model = FAMILIES[family]()
+        if table == "missing-and-extra":
+            w = model.states[-1]
+            first = min(model.transitions[w])
+            model.transitions[w][(9,) * model.agents] = model.transitions[w].pop(first)
+        expected = json.loads(model_to_json(model))
+        expected["transitions"] = {
+            w: {format_grand(g): model.transitions[w][g] for g in sorted(model.transitions[w])}
+            for w in model.states
+        }
+        assert model_to_json(model) == json.dumps(expected, separators=(",", ":")) + "\n"
+
 
 class TestStrayStates:
     def test_unknown_state_lines_sorted_under_any_hash_seed(self):
