@@ -148,7 +148,9 @@ def canonical_family(sets) -> tuple[frozenset[str], ...]:
     if type(sets) is CanonicalFamily:
         return sets
     unique = {frozenset(u) for u in sets}
-    return CanonicalFamily(sorted(unique, key=lambda u: (len(u), sorted(u))))
+    # Two stable sorts give the order of the key (len(u), sorted(u)) without
+    # building a pair per set.
+    return CanonicalFamily(sorted(sorted(unique, key=sorted), key=len))
 
 
 MAX_LISTED_MISSING = 1000
@@ -174,11 +176,16 @@ def _header_errors(m: Model, state_set: set[str]) -> list[str]:
     return errors
 
 
-def validate_cgf(g: Cgf) -> list[str]:
-    """All structural defects, each with its location; empty means valid."""
+def validate_cgf(g: Cgf, exact=()) -> list[str]:
+    """All structural defects, each with its location; empty means valid.
+    The states in `exact` are known to have valid move counts and a table
+    of exactly their admissible grand moves, each to a listed state, so they
+    are not checked again; loads_model passes the rows it built that way."""
     state_set = set(g.states)
     errors = _header_errors(g, state_set)
     for w in g.states:
+        if w in exact:
+            continue
         counts = g.move_counts.get(w)
         if counts is None:
             errors.append(f"no move counts for state {w}")
@@ -194,6 +201,8 @@ def validate_cgf(g: Cgf) -> list[str]:
     for w in sorted(set(g.transitions) - state_set):
         errors.append(f"transitions given for unknown state {w}")
     for w in g.states:
+        if w in exact:
+            continue
         counts = g.move_counts.get(w)
         if counts is None or len(counts) != g.agents or any(c < 1 for c in counts):
             continue
@@ -265,30 +274,64 @@ def _grand_from_text(key: str) -> tuple[int, ...] | None:
 
 
 @functools.lru_cache(maxsize=256)
-def _grand_row(keys: tuple[str, ...]) -> tuple[tuple[int, ...], ...] | None:
-    """The grand moves a row of key texts names, in row order, or None if a
-    key is bad.  Cached, so a row repeated across states, as the rows of
-    states with equal move counts are in a file written by model_to_json,
-    is parsed once; up to 256 rows stay cached."""
+def _grand_row(keys: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None] | None:
+    """The grand moves a row of key texts names, in row order, with the move
+    counts whose admissible grand moves they are in lexicographic order (None
+    if they are not those of any counts); None if a key is bad.  Cached, so a
+    row repeated across states is parsed once; up to 256 rows stay cached."""
     grands = tuple(map(_grand_from_text, keys))
-    return None if None in grands else grands
+    if None in grands:
+        return None
+    last = grands[-1] if grands else ()
+    whole = len(grands) == math.prod(last) and grands == _joint_moves(last, ())[0][1]
+    return grands, last if whole else None
 
 
-def _transition_table(table: dict, state: str) -> dict[tuple[int, ...], str]:
-    """A state's transitions keyed by grand move; a bad key raises
-    ModelError naming it and the state."""
-    table.items()  # a table that is not a JSON object raises AttributeError here
-    keys = tuple(table)
-    grands = _grand_row(keys)
-    if grands is None:
-        bad = next(k for k in keys if _grand_from_text(k) is None)
-        raise ModelError(f"bad grand move key {bad!r} at state {state}")
-    targets = list(table.values())
+@functools.lru_cache(maxsize=256)
+def _grand_total(counts: tuple[int, ...], agents: int) -> int | None:
+    """How many grand moves a move-count vector admits, or None if
+    validate_cgf refuses the vector; checked once per distinct vector."""
+    if len(counts) != agents or any(c < 1 for c in counts):
+        return None
+    return math.prod(counts)
+
+
+def _transition_table(table, state: str, counts, agents: int, state_set: set) -> tuple[dict, bool]:
+    """A state's transitions keyed by grand move, and whether they are exact:
+    every admissible grand move once, each to a listed state.
+
+    A flat row lists one target per grand move in lexicographic order; only
+    its length and its targets are checked.  A keyed table whose keys are
+    exactly those grand moves in that order is read as the row of its
+    values.  Any other keyed table is parsed key by key and left to
+    validate_cgf; a bad key raises ModelError naming it and the state."""
+    if type(table) is not list:
+        table.items()  # a table that is neither an array nor an object raises AttributeError here
+        keys = tuple(table)
+        row = _grand_row(keys)
+        if row is None:
+            bad = next(k for k in keys if _grand_from_text(k) is None)
+            raise ModelError(f"bad grand move key {bad!r} at state {state}")
+        grands, lexicographic = row
+        targets = list(table.values())
+        if lexicographic is None or lexicographic != counts:
+            try:
+                "".join(targets)  # passes when every target is a string, as JSON state ids are
+            except TypeError:
+                targets = list(map(str, targets))
+            return dict(zip(grands, targets)), False
+        table = targets
+    total = None if counts is None else _grand_total(counts, agents)
+    if total is None:
+        return {}, False  # validate_cgf names the defect of the move counts
+    if len(table) != total:
+        raise ModelError(f"transition row at state {state}: {len(table)} targets for {total} grand moves")
+    grands = _joint_moves(counts, ())[0][1]
     try:
-        "".join(targets)  # passes when every target is a string, as JSON state ids are
-    except TypeError:
-        targets = list(map(str, targets))
-    return dict(zip(grands, targets))
+        exact = state_set.issuperset(table)
+    except TypeError:  # an unhashable target, such as an array
+        exact = False
+    return dict(zip(grands, table if exact else map(str, table))), exact
 
 
 def _parse_coalition_key(key: str, where: str) -> tuple[int, ...]:
@@ -337,6 +380,17 @@ def _count(value, field: str, *where) -> int:
     raise ModelError(f"{field.format(*where)} must be a whole number{why}")
 
 
+_INT = frozenset((int,))
+
+
+def _move_counts(value, state) -> tuple[int, ...]:
+    """A state's move counts; each must be a whole number (see _count)."""
+    counts = tuple(_listed(value))
+    if _INT.issuperset(map(type, counts)):  # all plain ints, as in a file amc wrote
+        return counts
+    return tuple(_count(c, '"moves" at state {} for agent {}', state, a) for a, c in enumerate(counts, 1))
+
+
 def loads_model(text: str) -> Model:
     """Parse a model from JSON text and validate it."""
     try:
@@ -362,15 +416,16 @@ def loads_model(text: str) -> Model:
         if initial is not None:
             initial = str(initial)
         if kind == "cgf":
-            move_counts = {
-                str(w): tuple(
-                    _count(c, '"moves" at state {} for agent {}', w, a) for a, c in enumerate(_listed(counts), 1)
-                )
-                for w, counts in data["moves"].items()
-            }
-            transitions = {str(w): _transition_table(table, w) for w, table in data["transitions"].items()}
+            move_counts = {str(w): _move_counts(counts, w) for w, counts in data["moves"].items()}
+            state_set = set(states)
+            transitions = {}
+            exact = set()
+            for w, table in data["transitions"].items():
+                transitions[w], whole = _transition_table(table, w, move_counts.get(w), agents, state_set)
+                if whole:
+                    exact.add(w)
             model: Model = Cgf(states, agents, move_counts, transitions, valuation, initial)
-            errors = validate_cgf(model)
+            errors = validate_cgf(model, exact)
         else:
             effectivity = {
                 str(w): {
@@ -403,21 +458,16 @@ def load_model(path) -> Model:
     return loads_model(read_text(path))
 
 
-@functools.lru_cache(maxsize=256)
-def _key_texts(counts: tuple[int, ...]) -> tuple[str, ...]:
-    """The key text of every grand move of a move-count vector, in
-    lexicographic order; up to 256 vectors stay cached."""
-    return tuple(map(format_grand, _joint_moves(counts, ())[0][1]))
-
-
-def _table_json(table: dict, counts: tuple[int, ...]) -> dict[str, str]:
-    """A state's transitions keyed by key text, in sorted grand-move order.
-    A table that holds exactly the admissible grand moves takes its keys
-    from the cached texts of its move counts, which are in that order."""
-    if table and len(table) == math.prod(counts) and all(c >= 1 for c in counts):
-        grands = _joint_moves(counts, ())[0][1]
-        if all(map(table.__contains__, grands)):
-            return dict(zip(_key_texts(counts), map(table.__getitem__, grands)))
+def _table_json(table: dict, counts: tuple[int, ...]) -> list[str] | dict[str, str]:
+    """A state's transitions as the file holds them.  A table of exactly the
+    admissible grand moves is a flat row of targets in lexicographic order
+    of its grand moves; any other table is keyed by key text in sorted
+    grand-move order, so that the file keeps its defect."""
+    if len(table) == math.prod(counts) and all(c >= 1 for c in counts):
+        try:
+            return list(map(table.__getitem__, _joint_moves(counts, ())[0][1]))
+        except KeyError:  # a grand move is missing, so another key is inadmissible
+            pass
     return {format_grand(grand): table[grand] for grand in sorted(table)}
 
 

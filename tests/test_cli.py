@@ -16,7 +16,7 @@ import pytest
 
 import amcheck
 from amcheck.cli import build_parser, main
-from amcheck.model import load_model, save_model
+from amcheck.model import load_model, loads_model, save_model
 from amcheck.benchgen import gen_castle, gen_modulo
 from amcheck.formula import MAX_DEPTH, coalitions_in, parse_formula
 from helpers import one_state_frame
@@ -660,6 +660,19 @@ class TestReadme:
         flags = set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text()))
         assert flags
         assert flags - _options(build_parser()) == set()
+
+    def test_model_examples_load(self):
+        # the flat-row game frame, its keyed form given in the text, and the
+        # effectivity frame
+        text = README.read_text()
+        blocks = re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+        assert [json.loads(block)["kind"] for block in blocks] == ["cgf", "ef"]
+        keyed_row = '"a": {"1,1": "a", "1,2": "b", "2,1": "b", "2,2": "a"}'
+        assert keyed_row in text
+        keyed = json.loads(blocks[0])
+        keyed["transitions"].update(json.loads("{" + keyed_row + "}"))
+        assert loads_model(json.dumps(keyed)) == loads_model(blocks[0])
+        loads_model(blocks[1])
 
     def test_python_blocks_run(self, tmp_path, monkeypatch):
         blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)

@@ -167,6 +167,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=f"formula nests deeper than {MAX_DEPTH} levels"):
             parse_formula(shape(MAX_DEPTH + 1))
 
+    def test_in_code_trees_are_checked(self):
+        # trees built in code skip the parser's checks: the one walk refuses
+        # a descending coalition and an object that is not a formula
+        with pytest.raises(FormulaError, match=r"^coalition not strictly ascending: \(2, 1\)$"):
+            validate_formula(Enforce((2, 1), Atom("p")))
+        with pytest.raises(TypeError, match="^not a formula: 'q'$"):
+            validate_formula(And(Atom("p"), "q"))
+
     def test_zero_agent_id(self):
         with pytest.raises(FormulaError, match="positive"):
             parse_formula("[{0}] p")

@@ -458,3 +458,8 @@ def test_unknown_state_rejected_by_every_engine(smallgame, smallgame_min_ef, fra
     for states in (["zzz"], ["w1", "zzz"]):
         with pytest.raises(ModelError, match="unknown state zzz"):
             verdicts(model, closure, states)
+
+
+def test_rejects_non_model():
+    with pytest.raises(ModelError, match="^not a model: 'nonsense'$"):
+        fixpoint_verdicts("nonsense", build_closure(parse_formula("p")))
