@@ -137,44 +137,37 @@ def gen_castle(castles: int, hp: int) -> tuple[Cgf, list[tuple[str, Formula]]]:
     by_name = dict(zip(names, configs))
     agents = castles
 
-    def agent_moves(config, a: int):
-        """Meaning of each 1-based move id for knight a at this state."""
+    def menu(config, a: int):
+        """Knight a's moves at this state by 1-based move id, each as the
+        castle it attacks (0 for none), its readiness after the step and how
+        many incoming attacks it blocks."""
         ready, points = config[a - 1]
         if points == 0:
-            return ["dead"]
+            return [(0, ready, 0)]  # dead: marks time
         if not ready:
-            return ["rest"]
-        return ["defend"] + [("attack", j) for j in range(1, castles + 1) if j != a]
+            return [(0, True, 1)]  # rests
+        # defends, or attacks another castle j
+        return [(0, True, 1)] + [(j, False, 0) for j in range(1, castles + 1) if j != a]
 
     move_counts = {}
     transitions = {}
     ids = dict(zip(configs, names))  # every successor configuration is a state
     for w in names:
         config = by_name[w]
-        menus = [agent_moves(config, a) for a in range(1, agents + 1)]
-        move_counts[w] = tuple(len(menu) for menu in menus)
-        table = {}
-        for grand in itertools.product(*(range(1, len(menu) + 1) for menu in menus)):
-            chosen = [menus[i][grand[i] - 1] for i in range(agents)]
-            attacks = [0] * (castles + 1)
-            for move in chosen:
-                if isinstance(move, tuple):
-                    attacks[move[1]] += 1
-            new_config = []
-            for j in range(1, castles + 1):
-                ready, points = config[j - 1]
-                move = chosen[j - 1]
-                blocked = 1 if move in ("defend", "rest") else 0
-                new_points = max(0, points - max(0, attacks[j] - blocked))
-                if move == "dead":
-                    new_ready = ready
-                elif isinstance(move, tuple):
-                    new_ready = False
-                else:
-                    new_ready = True
-                new_config.append((new_ready, new_points))
-            table[grand] = ids[tuple(new_config)]
-        transitions[w] = table
+        menus = [menu(config, a) for a in range(1, agents + 1)]
+        move_counts[w] = tuple(map(len, menus))
+        targets = []
+        for chosen in itertools.product(*menus):
+            attacks = [0] * (castles + 1)  # attacks[0] counts the moves that attack no castle
+            for attacked, _, _ in chosen:
+                attacks[attacked] += 1
+            new_config = tuple(
+                (new_ready, max(0, points - max(0, attacks[j] - blocks)))
+                for j, ((_, points), (_, new_ready, blocks)) in enumerate(zip(config, chosen), start=1)
+            )
+            targets.append(ids[new_config])
+        grands = itertools.product(*(range(1, c + 1) for c in move_counts[w]))
+        transitions[w] = dict(zip(grands, targets))
     valuation = {
         f"lost{a}": frozenset(w for w in names if by_name[w][a - 1][1] == 0)
         for a in range(1, agents + 1)
@@ -210,8 +203,10 @@ def gen_modulo(agents: int, n_moves: int, base: int = 10) -> tuple[Cgf, list[tup
     move_counts = {w: tuple([n_moves] * agents) for w in names}
     moves = range(1, n_moves + 1)
     sums = [sum(grand) for grand in itertools.product(moves, repeat=agents)]
-    # Every table gets key tuples of its own, as a frame read from a file
-    # has; tables sharing one tuple per grand move look up measurably faster.
+    # Every table gets key tuples of its own, unlike a frame read from flat
+    # rows, whose tables share the cached tuples of _joint_moves: with shared
+    # tuples the cgf-local growth from 2 to 10 moves that acceptance test 6
+    # bounds from below reads lower (see ROADMAP.md).
     transitions = {
         w: dict(zip(itertools.product(moves, repeat=agents), [names[(i + s) % base] for s in sums]))
         for i, w in enumerate(names)

@@ -204,17 +204,12 @@ def validate_cgf(g: Cgf, exact=()) -> list[str]:
         if w in exact:
             continue
         counts = g.move_counts.get(w)
-        if counts is None or len(counts) != g.agents or any(c < 1 for c in counts):
+        total = _grand_total(counts, g.agents)
+        if total is None:
             continue
         table = g.transitions.get(w, {})
-        total = math.prod(counts)
-        # Valid: as many keys as grand moves, each grand move among them
-        # (listed only once the size matches), and every target a state.
-        if (
-            len(table) == total
-            and all(map(table.__contains__, _joint_moves(counts, ())[0][1]))
-            and state_set.issuperset(table.values())
-        ):
+        row = _exact_row(table, counts, g.agents)
+        if row is not None and state_set.issuperset(row):
             continue
         # Keys are checked against the counts one coordinate at a time: the
         # admissible grand moves are only listed when few of them are missing,
@@ -274,26 +269,35 @@ def _grand_from_text(key: str) -> tuple[int, ...] | None:
 
 
 @functools.lru_cache(maxsize=256)
-def _grand_row(keys: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None] | None:
-    """The grand moves a row of key texts names, in row order, with the move
-    counts whose admissible grand moves they are in lexicographic order (None
-    if they are not those of any counts); None if a key is bad.  Cached, so a
-    row repeated across states is parsed once; up to 256 rows stay cached."""
+def _grand_row(keys: tuple[str, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """The grand moves a row of key texts names, in row order, or None if a
+    key is bad.  Cached, so a row repeated across states, as the rows of
+    states with equal move counts are in a keyed file, is parsed once; up to
+    256 rows stay cached."""
     grands = tuple(map(_grand_from_text, keys))
-    if None in grands:
-        return None
-    last = grands[-1] if grands else ()
-    whole = len(grands) == math.prod(last) and grands == _joint_moves(last, ())[0][1]
-    return grands, last if whole else None
+    return None if None in grands else grands
 
 
 @functools.lru_cache(maxsize=256)
-def _grand_total(counts: tuple[int, ...], agents: int) -> int | None:
-    """How many grand moves a move-count vector admits, or None if
-    validate_cgf refuses the vector; checked once per distinct vector."""
-    if len(counts) != agents or any(c < 1 for c in counts):
+def _grand_total(counts: tuple[int, ...] | None, agents: int) -> int | None:
+    """How many grand moves a move-count vector admits, or None if there is
+    no vector or validate_cgf refuses it; checked once per distinct vector."""
+    if counts is None or len(counts) != agents or any(c < 1 for c in counts):
         return None
     return math.prod(counts)
+
+
+def _exact_row(table: dict, counts, agents: int) -> list | None:
+    """The table's targets in rank order, as `_joint_moves(counts, ())` lists
+    the grand moves, if the move counts are valid and the table's keys are
+    exactly their admissible grand moves; None otherwise.  The one exactness
+    rule that checking, reading and writing a frame share."""
+    if _grand_total(counts, agents) != len(table):  # also for refused counts, whose total is None
+        return None
+    try:
+        return list(map(table.__getitem__, _joint_moves(counts, ())[0][1]))
+    except KeyError:  # a grand move is missing, so another key is inadmissible
+        return None
 
 
 def _transition_table(table, state: str, counts, agents: int, state_set: set) -> tuple[dict, bool]:
@@ -301,27 +305,21 @@ def _transition_table(table, state: str, counts, agents: int, state_set: set) ->
     every admissible grand move once, each to a listed state.
 
     A flat row lists one target per grand move in lexicographic order; only
-    its length and its targets are checked.  A keyed table whose keys are
-    exactly those grand moves in that order is read as the row of its
-    values.  Any other keyed table is parsed key by key and left to
-    validate_cgf; a bad key raises ModelError naming it and the state."""
+    its length and its targets are checked.  A keyed table is parsed key by
+    key, in any order, and is exact when `_exact_row` finds it so and every
+    target is a state; any other keyed table is left to validate_cgf.  A bad
+    key raises ModelError naming it and the state."""
     if type(table) is not list:
         table.items()  # a table that is neither an array nor an object raises AttributeError here
         keys = tuple(table)
-        row = _grand_row(keys)
-        if row is None:
+        grands = _grand_row(keys)
+        if grands is None:
             bad = next(k for k in keys if _grand_from_text(k) is None)
             raise ModelError(f"bad grand move key {bad!r} at state {state}")
-        grands, lexicographic = row
-        targets = list(table.values())
-        if lexicographic is None or lexicographic != counts:
-            try:
-                "".join(targets)  # passes when every target is a string, as JSON state ids are
-            except TypeError:
-                targets = list(map(str, targets))
-            return dict(zip(grands, targets)), False
-        table = targets
-    total = None if counts is None else _grand_total(counts, agents)
+        table = dict(zip(grands, map(str, table.values())))
+        row = _exact_row(table, counts, agents)
+        return table, row is not None and state_set.issuperset(row)
+    total = _grand_total(counts, agents)
     if total is None:
         return {}, False  # validate_cgf names the defect of the move counts
     if len(table) != total:
@@ -458,16 +456,14 @@ def load_model(path) -> Model:
     return loads_model(read_text(path))
 
 
-def _table_json(table: dict, counts: tuple[int, ...]) -> list[str] | dict[str, str]:
+def _table_json(table: dict, counts, agents: int) -> list[str] | dict[str, str]:
     """A state's transitions as the file holds them.  A table of exactly the
     admissible grand moves is a flat row of targets in lexicographic order
-    of its grand moves; any other table is keyed by key text in sorted
-    grand-move order, so that the file keeps its defect."""
-    if len(table) == math.prod(counts) and all(c >= 1 for c in counts):
-        try:
-            return list(map(table.__getitem__, _joint_moves(counts, ())[0][1]))
-        except KeyError:  # a grand move is missing, so another key is inadmissible
-            pass
+    of its grand moves; any other table, also one at a state without move
+    counts, is keyed in sorted grand-move order, so the file keeps its defect."""
+    row = _exact_row(table, counts, agents)
+    if row is not None:
+        return row
     return {format_grand(grand): table[grand] for grand in sorted(table)}
 
 
@@ -480,9 +476,10 @@ def model_to_json(model: Model) -> str:
         atom: sorted(model.valuation[atom]) for atom in sorted(model.valuation)
     }
     if isinstance(model, Cgf):
-        obj["moves"] = {w: list(model.move_counts[w]) for w in model.states}
+        counts = {w: tuple(model.move_counts[w]) for w in model.states if w in model.move_counts}
+        obj["moves"] = {w: list(c) for w, c in counts.items()}
         obj["transitions"] = {
-            w: _table_json(model.transitions.get(w, {}), tuple(model.move_counts[w])) for w in model.states
+            w: _table_json(model.transitions.get(w, {}), counts.get(w), model.agents) for w in model.states
         }
     else:
         obj["effectivity"] = {

@@ -421,6 +421,19 @@ def _defect_file(table):
     })
 
 
+KEYED_DEFECTS = [
+    ({"1,1": "a", "01,1": "b"}, "outcome undefined for admissible grand move 2,1 at state a"),
+    ({"1,1": "a"}, "outcome undefined for admissible grand move 2,1 at state a"),
+    ({"1,1": "a", "2,1": "b", "3,1": "a"}, "inadmissible grand move 3,1 at state a"),
+    ({"1,1": "a", "2,1": "z"}, "transition a --2,1--> z leaves the state set"),
+    ({"1,x": "a", "2,1": "b"}, "bad grand move key '1,x' at state a"),
+    ({"1,1": "a", "3,1": "b"},
+     "outcome undefined for admissible grand move 2,1 at state a\n"
+     "inadmissible grand move 3,1 at state a"),
+]
+KEYED_DEFECT_IDS = ["same-move-twice", "missing", "inadmissible", "outside", "non-digit", "full-size-inadmissible"]
+
+
 class TestLoader:
     @pytest.mark.parametrize("family", ["castle", "modulo"])
     def test_each_key_row_is_parsed_once(self, family):
@@ -469,15 +482,10 @@ class TestLoader:
         assert model.transitions["a"] == {(1, 1): "a", (2, 1): "b"}
 
     @pytest.mark.parametrize("table, message", [
-        ({"1,1": "a", "01,1": "b"}, "outcome undefined for admissible grand move 2,1 at state a"),
-        ({"1,1": "a"}, "outcome undefined for admissible grand move 2,1 at state a"),
-        ({"1,1": "a", "2,1": "b", "3,1": "a"}, "inadmissible grand move 3,1 at state a"),
-        ({"1,1": "a", "2,1": "z"}, "transition a --2,1--> z leaves the state set"),
-        ({"1,x": "a", "2,1": "b"}, "bad grand move key '1,x' at state a"),
-        ({"1,1": "a", "3,1": "b"},
-         "outcome undefined for admissible grand move 2,1 at state a\n"
-         "inadmissible grand move 3,1 at state a"),
-    ], ids=["same-move-twice", "missing", "inadmissible", "outside", "non-digit", "full-size-inadmissible"])
+        *KEYED_DEFECTS,
+        # a keyed table's defects read the same whatever its key order
+        *((dict(reversed(table.items())), message) for table, message in KEYED_DEFECTS),
+    ], ids=[*KEYED_DEFECT_IDS, *(f"reversed-{name}" for name in KEYED_DEFECT_IDS)])
     def test_defect_texts(self, table, message):
         with pytest.raises(ModelError) as exc:
             loads_model(_defect_file(table))
@@ -518,18 +526,28 @@ class TestRoundTripAndOrder:
                 assert model.groups(w, coalition) == _naive_groups(model, w, coalition)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("table", ["exact", "missing-and-extra"])
-    def test_text_matches_sorted_key_formatting(self, family, table):
+    @pytest.mark.parametrize("table", ["exact", "missing-and-extra", "no-counts"])
+    def test_text_matches_sorted_key_formatting(self, family, table, tmp_path, capsys):
         # an exact table is the row of its targets in sorted grand-move
         # order; a table that misses one grand move and has one extra key,
         # so that its size still matches its move counts, is keyed by its own
-        # keys, sorted and formatted, and loading it names both defects
+        # keys, sorted and formatted, and loading it names both defects, as
+        # validate_cgf does; so is a table at a state without move counts,
+        # which gets no "moves" entry
         model = FAMILIES[family]()
-        broken = model.states[-1] if table == "missing-and-extra" else None
-        if broken:
+        broken = model.states[-1] if table != "exact" else None
+        if table == "missing-and-extra":
             first = min(model.transitions[broken])
             model.transitions[broken][(9,) * model.agents] = model.transitions[broken].pop(first)
+            message = (
+                f"outcome undefined for admissible grand move {format_grand(first)} at state {broken}\n"
+                f"inadmissible grand move {format_grand((9,) * model.agents)} at state {broken}"
+            )
+        elif table == "no-counts":
+            del model.move_counts[broken]
+            message = f"no move counts for state {broken}"
         expected = json.loads(model_to_json(model))
+        assert list(expected["moves"]) == [w for w in model.states if w != broken or table != "no-counts"]
         expected["transitions"] = {
             w: (
                 {format_grand(g): model.transitions[w][g] for g in sorted(model.transitions[w])} if w == broken
@@ -542,10 +560,12 @@ class TestRoundTripAndOrder:
         if broken:
             with pytest.raises(ModelError) as exc:
                 loads_model(text)
-            assert str(exc.value) == (
-                f"outcome undefined for admissible grand move {format_grand(first)} at state {broken}\n"
-                f"inadmissible grand move {format_grand((9,) * model.agents)} at state {broken}"
-            )
+            assert str(exc.value) == "\n".join(validate_cgf(model)) == message
+            (tmp_path / "m.json").write_text(text)
+            (tmp_path / "f.amc").write_text("p\n")
+            argv = ["check", "--model", str(tmp_path / "m.json"), "--formula", str(tmp_path / "f.amc")]
+            assert main([*argv, "--engine", "cgf-game"]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
         else:
             assert loads_model(text) == model
 
