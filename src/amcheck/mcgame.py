@@ -83,23 +83,25 @@ class _Labels(Sequence):
 class _Finite:
     """The winners that finite plays decide, kept up as a game grows.
 
-    A dead end is lost by its owner, and a position whose only successor is
-    itself is won by its priority's parity.  A position goes to its owner
-    once one of its successors is won by the owner, and to the opponent once
-    all of them are won by the opponent.  Each `extend` takes the rows built
+    One rule decides every row: a position goes to its owner once one of its
+    successors is won by the owner, and to the opponent once all of them are
+    won by the opponent, so a dead end is lost by its owner.  A self-loop
+    counts as a successor won by its priority's parity: a play that takes it
+    for ever sees only that priority.  Each `extend` takes the rows built
     since the last one, so a game can be decided while it is built; what
     stays open after the last row is won by neither player on a finite play,
-    and every open position keeps an open successor.
+    and every open position keeps an open successor other than itself.
 
     `owners` has one entry per row taken so far, the other lists one per
     position numbered so far.  Owners and winners are 0 (Exists) and 1
     (Forall), and -1 marks an open position.  `move` holds the winner's
     attracting move where the winner owns a decided position.
-    `predecessors[u]` lists each position v with an edge to u that was taken
-    while u was open, once per edge, and `escapes[v]` counts an open
+    `predecessors[u]` lists each position v != u with an edge to u that was
+    taken while u was open, once per edge, and `escapes[v]` counts an open
     position's successors not yet won by its opponent; an open position's
-    predecessor list is therefore complete in its open predecessors, which
-    is all Zielonka reads of it.
+    predecessor list is therefore complete in its other open predecessors,
+    which is all Zielonka reads of it, since an attractor marks a position
+    before it reads the position's predecessors.
     """
 
     def __init__(self):
@@ -147,13 +149,9 @@ class _Finite:
         for v in range(start, len(successors)):
             row = successors[v]
             owner = own[v]
-            if len(row) == 1 and row[0] == v:
-                player = priorities[v] & 1
-                decide(v, player, v if player == owner else -1)
-                continue
             left = len(row)
             for u in row:
-                won = winners[u]
+                won = winners[u] if u != v else priorities[v] & 1
                 if won < 0:
                     predecessors[u].append(v)
                 elif won == owner:
@@ -361,8 +359,8 @@ def zielonka_solve(game: ParityGame, deadline=None, finite=None) -> Solution:
 
     What finite plays decide goes to its winner up front (see `_Finite`),
     so the core left is total.  A builder that decided it already hands it
-    over as `finite`, whose rows the solver then takes over; otherwise it is
-    computed here.  `solve(region)`
+    over as `finite`, whose rows the solver takes over and whose winners it
+    completes in place; otherwise it is computed here.  `solve(region)`
     splits its subgame into strongly connected components and handles them
     bottom-up: the positions of a component that are not decided yet form a
     closed subgame, which the loop below solves, and the regions the two
@@ -477,10 +475,9 @@ def game_verdicts(model, closure: ClosureGraph, states=None, deadline=None) -> d
         game, roots, finite = build_game_ef(model, closure, states, deadline, until_decided=True)
     else:
         raise ModelError(f"not a model: {model!r}")
-    if finite.decided(roots.values()):
-        return {w: finite.winners[v] == 0 for w, v in roots.items()}
-    solution = zielonka_solve(game, deadline, finite)
-    return {w: solution.winners[v] == EXISTS for w, v in roots.items()}
+    if not finite.decided(roots.values()):
+        zielonka_solve(game, deadline, finite)  # fills finite.winners
+    return {w: finite.winners[v] == 0 for w, v in roots.items()}
 
 
 def export_pgsolver(game: ParityGame) -> str:

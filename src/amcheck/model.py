@@ -36,6 +36,12 @@ class Cgf:
 
     kind = "cgf"
 
+    def __post_init__(self):
+        # The cached _grand_total and _joint_moves key on a state's counts,
+        # so counts given as lists are made tuples.
+        if any(type(c) is not tuple for c in self.move_counts.values()):
+            self.move_counts = {w: tuple(c) for w, c in self.move_counts.items()}
+
     def atom_states(self, name: str) -> frozenset[str]:
         """Extension of an atom; unlisted atoms denote the empty set."""
         return self.valuation.get(name, frozenset())
@@ -389,10 +395,23 @@ def _move_counts(value, state) -> tuple[int, ...]:
     return tuple(_count(c, '"moves" at state {} for agent {}', state, a) for a, c in enumerate(counts, 1))
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice in it raises ModelError
+    naming the key, where json.loads would keep the last value silently."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ModelError(f"model JSON repeats the key {key!r} in one object")
+            seen.add(key)
+    return members
+
+
 def loads_model(text: str) -> Model:
     """Parse a model from JSON text and validate it."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # the only other error: a number too long for int()
@@ -476,8 +495,8 @@ def model_to_json(model: Model) -> str:
         atom: sorted(model.valuation[atom]) for atom in sorted(model.valuation)
     }
     if isinstance(model, Cgf):
-        counts = {w: tuple(model.move_counts[w]) for w in model.states if w in model.move_counts}
-        obj["moves"] = {w: list(c) for w, c in counts.items()}
+        counts = model.move_counts
+        obj["moves"] = {w: list(counts[w]) for w in model.states if w in counts}
         obj["transitions"] = {
             w: _table_json(model.transitions.get(w, {}), counts.get(w), model.agents) for w in model.states
         }

@@ -321,8 +321,13 @@ class TestZielonka:
         # every opponent win in a subgame once sent the solver round its loop
         # to re-solve the whole lower chain: 89 s at 1,500 positions and
         # 11 s for the cyclic 800.  The deadline makes the limit hard: the
-        # solver polls it and raises CheckTimeout once it has passed.
+        # solver polls it and raises CheckTimeout once it has passed.  Since
+        # a self-loop counts as a successor won by its priority's parity,
+        # finite plays decide every position before the loop runs.
         game = self.mixed_chain(n, cyclic)
+        finite = amcheck.mcgame._Finite()
+        finite.extend(game.owners, game.priorities, game.successors, len(game))
+        assert -1 not in finite.winners
         start = time.perf_counter()
         sol = zielonka_solve(game, Deadline(2.0))
         assert time.perf_counter() - start < 2.0
@@ -337,6 +342,33 @@ class TestZielonka:
                 expected.append(owner if suits or (v and expected[v - 1] == owner) else
                                 (EXISTS if owner == FORALL else FORALL))
             assert sol.winners == tuple(expected)
+
+    @staticmethod
+    def cycle_chain(n, closed):
+        """Each block {3k, 3k+1, 3k+2} is a cycle, and 3k also steps down to
+        3k - 1.  Position v has priority v; Exists owns v when v // 2 is
+        even, Forall otherwise.  With `closed`, 0 also jumps up to n - 1,
+        which makes the whole chain one strongly connected component."""
+        rows = []
+        for v in range(n):
+            if v % 3 == 0:
+                succ = (v + 1, v - 1) if v else ((1, n - 1) if closed else (1,))
+            else:
+                succ = (v + 1,) if v % 3 == 1 else (v - 2,)
+            rows.append((EXISTS if (v // 2) % 2 == 0 else FORALL, v, succ, str(v)))
+        return make_game(rows)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_chain_of_cycles_is_fast(self, closed):
+        # finite plays decide none of these positions, so this is the
+        # component split's case: without it the solver takes over 10 s on
+        # either variant, and splitting only the whole game, not the nested
+        # subgames, still does on the closed one
+        game = self.cycle_chain(3000, closed)
+        start = time.perf_counter()
+        sol = zielonka_solve(game, Deadline(2.0))
+        assert time.perf_counter() - start < 2.0
+        assert strategy_defects(game, sol) == []
 
     def test_leaves_no_reference_cycles(self):
         # a solve frees everything it built by reference counting alone, so

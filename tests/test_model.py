@@ -179,6 +179,11 @@ class TestValidation:
         broken.move_counts["w2"] = (1, 0, 1)
         errors = validate_cgf(broken)
         assert "m(w2,2)=0: every agent needs at least one move at every state" in errors
+        # move counts given as lists, as a frame built in code may have them,
+        # are as valid as tuples
+        listed = Cgf(("a",), 1, {"a": [1]}, {"a": {(1,): "a"}}, {})
+        assert validate_cgf(listed) == []
+        assert listed.groups("a", ()) == [((), ["a"])]
 
     def test_extra_transition(self, smallgame):
         broken = loads_model(model_to_json(smallgame))
@@ -218,10 +223,12 @@ class TestValidation:
         broken.effectivity["w1"][(2, 3)] = ()
         broken.effectivity["w2"][(1,)] = (frozenset(),)
         broken.effectivity["w3"][(4,)] = (frozenset({"w3"}),)
+        broken.effectivity["w9"] = {(): (frozenset({"w1"}),)}
         errors = validate_ef(broken)
         assert "empty effectivity family for {2,3} at state w1" in errors
         assert "empty effectivity set in {1} at state w2" in errors
         assert "unknown agent in coalition {4} at state w3" in errors
+        assert "effectivity given for unknown state w9" in errors
 
     def test_ef_descending_coalition(self):
         # the reader refuses a descending coalition key; a frame built in
@@ -393,6 +400,26 @@ class TestJson:
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.startswith("error: malformed model JSON")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind":"cgf","agents":1,"states":["a"],"valuation":{},"moves":{"a":[1]},'
+         '"transitions":{"a":{"1":"a"},"a":{"1":"a"}}}', "a"),
+        ('{"kind":"cgf","agents":1,"states":["a","b"],"valuation":{},"moves":{"a":[1],"b":[1]},'
+         '"transitions":{"a":{"1":"a","1":"b"},"b":["b"]}}', "1"),
+        ('{"kind":"cgf","agents":1,"states":["a"],"valuation":{},"moves":{"a":[1]},'
+         '"transitions":{"a":["a"]},"agents":2}', "agents"),
+    ], ids=["state", "grand-move", "top-level"])
+    def test_rejects_repeated_key(self, tmp_path, capsys, text, key):
+        # json.loads alone keeps a repeated key's last value without a word
+        message = f"model JSON repeats the key {key!r} in one object"
+        with pytest.raises(ModelError) as raised:
+            loads_model(text)
+        assert str(raised.value) == message
+        (tmp_path / "m.json").write_text(text)
+        (tmp_path / "f.amc").write_text("p\n")
+        argv = ["check", "--model", str(tmp_path / "m.json"), "--formula", str(tmp_path / "f.amc")]
+        assert main([*argv, "--engine", "cgf-game"]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_invalid_model_reports_defects(self):
         with pytest.raises(ModelError, match="outcome undefined"):
